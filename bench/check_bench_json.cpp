@@ -26,11 +26,6 @@ namespace {
 /// silently dropped metric fails the gate instead of going unnoticed.
 const std::map<std::string, std::vector<std::string>>& required_metrics() {
   static const std::map<std::string, std::vector<std::string>> kRequired = {
-      {"parallel_scaling",
-       {"throughput_baseline_flows_per_sec",
-        "throughput_fast_8shard_flows_per_sec",
-        "throughput_deterministic_8shard_flows_per_sec",
-        "speedup_fast_8shard", "deterministic_bit_identical", "cpu_cores"}},
       {"micro_datapath",
        {"throughput_batched_flows_per_sec", "batched_speedup",
         "gfib_scan_ns", "gfib_scan_sliced_ns", "gfib_scan_speedup"}},

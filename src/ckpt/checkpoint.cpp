@@ -148,16 +148,6 @@ bool StateAccess::save(scenario::ScenarioRunner& runner, std::uint32_t index,
   if (net == nullptr || !net->replayed_) {
     return fail("checkpoint requires a live replay (nothing to snapshot)");
   }
-  const core::Config& cfg = net->config_;
-  if (cfg.runtime.num_shards > 1 &&
-      cfg.runtime.mode == core::RuntimeMode::kFast) {
-    return fail(
-        "checkpointing is not supported with runtime.mode=fast and "
-        "num_shards>1: fast-mode shards accumulate metrics in shard-local "
-        "sinks merged only at end of replay, so a mid-run snapshot would "
-        "be incomplete; use runtime.mode=deterministic");
-  }
-
   // Classify every live pending event. The map covers everything that
   // may legally be queued at a scenario-event fence; an id outside it is
   // in-flight work and fails the snapshot.
@@ -249,6 +239,7 @@ bool StateAccess::save(scenario::ScenarioRunner& runner, std::uint32_t index,
   // CONF: the runtime-mutable config knobs (scenario seams can change
   // them mid-run; everything else is reconstructed from the spec).
   w.begin_section(kConf);
+  const core::Config& cfg = net->config_;
   w.f64(cfg.controller.loss_rate);
   w.f64(cfg.controller.dup_rate);
   w.u64(cfg.controller.queue_cap);
@@ -546,13 +537,6 @@ std::unique_ptr<scenario::ScenarioRunner> StateAccess::restore_runner(
   }
   std::unique_ptr<scenario::ScenarioRunner> runner(
       new scenario::ScenarioRunner(std::move(parsed.spec)));
-  if (runner->spec_.config.runtime.num_shards > 1 &&
-      runner->spec_.config.runtime.mode == core::RuntimeMode::kFast) {
-    return fail(
-        "snapshot was taken under runtime.mode=fast with num_shards>1, "
-        "which is not checkpointable");
-  }
-
   // META.
   r.enter_section(kMeta);
   const std::uint32_t snap_index = r.u32();
@@ -1057,7 +1041,7 @@ std::unique_ptr<scenario::ScenarioRunner> StateAccess::restore_runner(
             break;
           }
           // Not re-attached here: finish() re-creates the injection
-          // chain (single-threaded or sharded) under this exact tuple.
+          // chain under this exact tuple.
           runner->resume_cursor_ = {true, d.time, d.seq, d.id,
                                     static_cast<std::size_t>(d.payload)};
           break;

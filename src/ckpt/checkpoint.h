@@ -53,8 +53,7 @@ class StateAccess {
   /// Serializes the runner's full state at the current simulator fence.
   /// `index` is the snapshot's sequence number within the run (restored
   /// runners continue the numbering). Fails — with a diagnosed error and
-  /// `out` untouched — when the pending queue holds in-flight work or
-  /// the configuration is not checkpointable (fast-mode sharding).
+  /// `out` untouched — when the pending queue holds in-flight work.
   static bool save(scenario::ScenarioRunner& runner, std::uint32_t index,
                    std::vector<std::uint8_t>* out, std::string* error);
 

@@ -5,17 +5,13 @@
 // reproducible from a single seed. The core generator is SplitMix64: tiny,
 // fast, and statistically adequate for simulation workloads.
 //
-// Thread-safety contract (audited for the sharded runtime): an Rng
-// instance is mutable state and is NOT thread-safe; every thread must own
-// its generator. No component in this library holds process-global or
-// std::mt19937 hidden RNG state — the topology builder, the workload
-// generators and the graph partitioner all draw from a caller-owned
-// `Rng&`, and nothing draws randomness on a shard worker thread today
-// (the parallel replay datapath is fully deterministic). Concurrent
-// contexts that DO need randomness must derive a disjoint generator from
-// the one master `Config.seed` via `Rng::stream` — each runtime shard
-// already owns such a stream — so parallel runs stay reproducible from a
-// single seed.
+// An Rng instance is mutable state and is NOT thread-safe. No component
+// in this library holds process-global or std::mt19937 hidden RNG state —
+// the topology builder, the workload generators and the graph partitioner
+// all draw from a caller-owned `Rng&`. Independent consumers (the
+// scenario runner's topology, workload and surge draws) derive disjoint
+// generators from one master seed via `Rng::stream`, so adding a draw to
+// one consumer never shifts another.
 #pragma once
 
 #include <cstdint>

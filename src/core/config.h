@@ -39,8 +39,8 @@ struct ControllerConfig {
   // --- unreliable control plane (all defaults are behavior-preserving) ---
   /// Per-message control-channel loss probability in [0, 1]. Decided by a
   /// splitmix64 hash of (flow id, attempt, direction, seed) — never the
-  /// run RNG — so lossy runs stay bit-identical across reps and shard
-  /// counts, and rate 0 is a true no-op.
+  /// run RNG — so lossy runs stay bit-identical across reps, and rate 0
+  /// is a true no-op.
   double loss_rate = 0.0;
   /// Per-message control-channel duplication probability in [0, 1]. A
   /// duplicate consumes control-link bandwidth (message counters) but is
@@ -193,42 +193,12 @@ struct BatchConfig {
   bool operator==(const BatchConfig&) const = default;
 };
 
-/// Sharded parallel replay (the src/runtime subsystem): partitions the
-/// network by edge group into shards, each driven by its own worker
-/// thread, synchronized at bounded-lag windows.
-enum class RuntimeMode {
-  /// Barrier at every lag window + stable merge order: metrics are
-  /// bit-identical to the single-threaded Network::replay (enforced by
-  /// tests/runtime_test.cpp). Parallelism covers the per-switch decide
-  /// pipeline; all side effects commit on the coordinator in global flow
-  /// order.
-  kDeterministic,
-  /// Lax synchronization for throughput: shards decide AND handle their
-  /// local flows into per-shard metrics; only controller-bound flows
-  /// cross to the coordinator (via arena-backed SPSC mailboxes) at window
-  /// boundaries. Still reproducible run-to-run from Config.seed, but not
-  /// bit-identical to sequential replay — controller interleaving may
-  /// differ by up to one sync window.
-  kFast,
-};
-
+/// Vestige of the removed sharded replay runtime: replay is always
+/// single-threaded, and nothing here can be set. It stays only because
+/// perfbench/perfbench.cpp still reads `spec.config.runtime.num_shards`
+/// as a guard; drop the struct together with that guard.
 struct RuntimeConfig {
-  /// Number of replay shards. 1 = the classic single-threaded datapath
-  /// (no worker threads); > 1 makes Network::replay delegate to
-  /// runtime::ShardedRuntime. Effective shard count is clamped to the
-  /// number of groups (or switches when ungrouped).
-  std::size_t num_shards = 1;
-  /// Bounded-lag synchronization window (simulated time). Shards may run
-  /// at most this far ahead of each other between barriers; 0 derives the
-  /// conservative default from the minimum cross-shard channel latency:
-  /// 2 x control_link + controller_service, the soonest a flow's control
-  /// side effect can land back at any switch — deferring cross-shard
-  /// visibility within that window matches what the channels could have
-  /// delivered anyway. Deterministic mode repairs ordering exactly at the
-  /// merge, so there a larger window only trades barrier frequency for
-  /// scratch memory.
-  SimDuration sync_window = 0;
-  RuntimeMode mode = RuntimeMode::kDeterministic;
+  static constexpr std::size_t num_shards = 1;
 
   bool operator==(const RuntimeConfig&) const = default;
 };
@@ -252,7 +222,7 @@ struct Config {
   RuleConfig rules;
   /// Batched hot-path datapath (flow batching in replay()).
   BatchConfig batching;
-  /// Sharded parallel replay (src/runtime); 1 shard = single-threaded.
+  /// Always one shard (see RuntimeConfig).
   RuntimeConfig runtime;
   /// Designated switches report aggregated state this often (state link).
   SimDuration state_report_period = 30 * kSecond;

@@ -208,7 +208,7 @@ class EdgeSwitch {
   /// no reply — exponential backoff doubling from ctrl.punt_retry_base
   /// plus a jitter in [0, base/2] keyed on splitmix64(flow id, attempt,
   /// seed), never the run RNG, so the schedule is bit-identical across
-  /// reps and shard counts.
+  /// reps.
   [[nodiscard]] static SimDuration punt_retry_delay(
       std::uint64_t flow_id, std::uint32_t attempt,
       const ControllerConfig& ctrl, std::uint64_t seed) noexcept;

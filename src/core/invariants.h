@@ -27,15 +27,6 @@ namespace lazyctrl::core {
 
 class Network;
 
-/// Which invariant families to evaluate. Mid-run checks under the
-/// fast-mode sharded runtime must skip `metrics`: per-flow counters
-/// accumulate in shard-local sinks that merge only at end of replay, so
-/// the conservation identities hold there only after the merge.
-struct InvariantOptions {
-  bool metrics = true;  ///< flow-conservation + series/counter identities
-  bool state = true;    ///< rule hygiene, L-FIB/C-LIB/G-FIB/wheel state
-};
-
 struct InvariantReport {
   std::vector<std::string> violations;
 
@@ -48,8 +39,6 @@ struct InvariantReport {
 /// human-readable one-liners, each prefixed with the invariant family
 /// ("flow conservation:", "rule hygiene:", "location state:",
 /// "gfib consistency:", "failover wheels:").
-[[nodiscard]] InvariantReport check_invariants(const Network& net,
-                                               const InvariantOptions& opts =
-                                                   {});
+[[nodiscard]] InvariantReport check_invariants(const Network& net);
 
 }  // namespace lazyctrl::core

@@ -37,7 +37,6 @@
 #include "graph/components.h"
 #include "graph/min_cut.h"
 #include "graph/multilevel_partitioner.h"
-#include "runtime/sharded_runtime.h"
 #include "topo/builder.h"
 #include "topo/topology.h"
 #include "workload/analyzer.h"

@@ -9,7 +9,6 @@
 #include "obs/flow_latency.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "runtime/sharded_runtime.h"
 
 namespace lazyctrl::core {
 
@@ -20,8 +19,7 @@ namespace {
 // edge stage is the ingress leg every path shares (host link + switch
 // pipeline); controller-path flows add the round-trip breakdown; the
 // remainder up to e2e is delivery (datapath + egress), derived by the
-// reader rather than stored. Callers gate on flow_attribution_enabled()
-// AND on being coordinator-side (defer == nullptr at decision sites).
+// reader rather than stored. Callers gate on flow_attribution_enabled().
 void record_flow_attribution(
     const workload::Flow& flow, SwitchId src_sw, SwitchId dst_sw,
     obs::FlowPathKind path, const LatencyModel& lat, SimDuration e2e,
@@ -54,9 +52,9 @@ constexpr std::uint64_t kSaltDownlinkDup = 0xB90D'417E'268C'F5A1ull;
 // Deterministic fault predicate for one control-plane message leg: the
 // decision is a pure function of (config seed, flow id, attempt, salt)
 // through the splitmix64 finalizer — the run RNG is never consulted, so
-// fault injection is bit-identical across shard counts, across reps,
-// and a rate of 0 never perturbs a run (same discipline as the flow
-// sampler in obs/flow_latency.h).
+// fault injection is bit-identical across reps and a rate of 0 never
+// perturbs a run (same discipline as the flow sampler in
+// obs/flow_latency.h).
 bool fault_roll(std::uint64_t seed, std::uint64_t flow_id,
                 std::uint32_t attempt, std::uint64_t salt,
                 double rate) noexcept {
@@ -409,8 +407,9 @@ SimDuration Network::controller_round_trip(SimTime now, SwitchId via,
 
 Network::PuntOutcome Network::controller_punt_with_retry(
     std::uint64_t flow_id, SimTime now, SwitchId via,
-    ControllerTripBreakdown* breakdown, RunMetrics& m) {
+    ControllerTripBreakdown* breakdown) {
   const ControllerConfig& ctrl = config_.controller;
+  RunMetrics& m = *metrics_;
   if (ctrl.loss_rate <= 0.0 && ctrl.dup_rate <= 0.0 && ctrl.queue_cap == 0) {
     // Perfect control plane: exactly the plain round trip (bit-identical
     // to the pre-fault-model behaviour).
@@ -519,9 +518,6 @@ void Network::install_reactive_rule(EdgeSwitch& sw, const net::Packet& pkt,
   if (active_batch_ != nullptr) {
     active_batch_->installs.push_back(rule.match);
   }
-  if (span_install_log_ != nullptr) {
-    (*span_install_log_)[sw.id().value()].push_back(rule.match);
-  }
   if (dst_sw == sw.id()) {
     rule.action.type = openflow::ActionType::kForwardLocal;
   } else {
@@ -536,7 +532,8 @@ void Network::install_reactive_rule(EdgeSwitch& sw, const net::Packet& pkt,
 
 void Network::account_flow_latency(const workload::Flow& flow,
                                    SimDuration first_packet,
-                                   SimDuration steady_packet, RunMetrics& m) {
+                                   SimDuration steady_packet) {
+  RunMetrics& m = *metrics_;
   m.first_packet_latency_ms.add(to_milliseconds(first_packet));
   m.packet_latency.add(flow.start, to_milliseconds(first_packet));
   if (flow.packets > 1) {
@@ -591,7 +588,7 @@ void Network::on_flow_batch(const std::vector<workload::Flow>& flows,
   const std::size_t n = end - begin;
   const bool lazy = config_.mode == ControlMode::kLazyCtrl;
 
-  // Assemble: build the packet batch in the arena-backed staging buffer and
+  // Assemble: build the packet batch in the reusable staging buffer and
   // classify each flow (same bookkeeping as the head of on_flow()).
   for (std::size_t k = begin; k < end; ++k) {
     const workload::Flow& flow = flows[k];
@@ -627,10 +624,8 @@ void Network::on_flow_batch(const std::vector<workload::Flow>& flows,
   while (k < n) {
     const BatchScratch::FlowMeta& head = b.meta[k];
     if (head.transition_special) {
-      const bool handled = handle_transition_flow(flows[begin + k],
-                                                  head.src_sw, head.dst_sw,
-                                                  b.packets[k], *metrics_,
-                                                  nullptr);
+      const bool handled = handle_transition_flow(
+          flows[begin + k], head.src_sw, head.dst_sw, b.packets[k]);
       (void)handled;
       assert(handled && "transition window cannot close mid-batch");
       ++k;
@@ -673,11 +668,9 @@ void Network::on_flow_batch(const std::vector<workload::Flow>& flows,
         view = DecisionView{d.kind, b.decisions.candidates(d)};
       }
       if (config_.mode == ControlMode::kOpenFlow) {
-        process_openflow_decision(flow, m.src_sw, m.dst_sw, pkt, view,
-                                  *metrics_, nullptr);
+        process_openflow_decision(flow, m.src_sw, m.dst_sw, pkt, view);
       } else {
-        process_lazyctrl_decision(flow, m.src_sw, m.dst_sw, pkt, view,
-                                  *metrics_, nullptr);
+        process_lazyctrl_decision(flow, m.src_sw, m.dst_sw, pkt, view);
       }
     }
     k = run_end;
@@ -692,24 +685,19 @@ void Network::handle_flow_openflow(const workload::Flow& flow,
       switches_[src_sw.value()]->decide(pkt, flow.start,
                                         ControlMode::kOpenFlow);
   process_openflow_decision(flow, src_sw, dst_sw, pkt,
-                            DecisionView{d.kind, d.candidates}, *metrics_,
-                            nullptr);
+                            DecisionView{d.kind, d.candidates});
 }
 
 void Network::process_openflow_decision(const workload::Flow& flow,
                                         SwitchId src_sw, SwitchId dst_sw,
                                         const net::Packet& pkt,
-                                        const DecisionView& d, RunMetrics& m,
-                                        ControllerDefer* defer) {
+                                        const DecisionView& d) {
   const SimDuration steady = path_delays().steady(src_sw, dst_sw);
 
   if (d.kind == EdgeSwitch::DecisionKind::kFlowTableHit) {
-    ++m.flows_flow_table_hit;
-    account_flow_latency(flow, steady, steady, m);
-    // Attribution only coordinator-side (defer == nullptr): a fast-mode
-    // worker's shard-local hit flows are not attributed, mirroring the
-    // TraceRecorder coordinator-only threading contract.
-    if (obs::flow_attribution_enabled() && defer == nullptr) {
+    ++metrics_->flows_flow_table_hit;
+    account_flow_latency(flow, steady, steady);
+    if (obs::flow_attribution_enabled()) {
       record_flow_attribution(flow, src_sw, dst_sw,
                               obs::FlowPathKind::kFlowTableHit,
                               config_.latency, steady);
@@ -718,19 +706,13 @@ void Network::process_openflow_decision(const workload::Flow& flow,
   }
   // Every miss is a PacketIn; the controller resolves via C-LIB and
   // installs an exact-match rule (Floodlight learning-switch behaviour).
-  if (defer != nullptr &&
-      defer->defer(flow, src_sw, dst_sw, pkt,
-                   ControllerPathReason::kOpenFlowMiss)) {
-    return;
-  }
   finish_controller_flow(flow, src_sw, dst_sw, pkt,
-                         ControllerPathReason::kOpenFlowMiss, m);
+                         ControllerPathReason::kOpenFlowMiss);
 }
 
 bool Network::handle_transition_flow(const workload::Flow& flow,
                                      SwitchId src_sw, SwitchId dst_sw,
-                                     const net::Packet& pkt, RunMetrics& m,
-                                     ControllerDefer* defer) {
+                                     const net::Packet& pkt) {
   EdgeSwitch& sw = *switches_[src_sw.value()];
   if (host_pair_excluded(flow) || !sw.in_transition(flow.start)) return false;
 
@@ -738,22 +720,17 @@ bool Network::handle_transition_flow(const workload::Flow& flow,
 
   if (config_.grouping.preload_on_update) {
     // Preloaded temporary rule absorbs the transition.
-    ++m.flows_flow_table_hit;
-    account_flow_latency(flow, steady, steady, m);
-    if (obs::flow_attribution_enabled() && defer == nullptr) {
+    ++metrics_->flows_flow_table_hit;
+    account_flow_latency(flow, steady, steady);
+    if (obs::flow_attribution_enabled()) {
       record_flow_attribution(flow, src_sw, dst_sw,
                               obs::FlowPathKind::kFlowTableHit,
                               config_.latency, steady);
     }
     return true;
   }
-  if (defer != nullptr &&
-      defer->defer(flow, src_sw, dst_sw, pkt,
-                   ControllerPathReason::kTransitionPunt)) {
-    return true;
-  }
   finish_controller_flow(flow, src_sw, dst_sw, pkt,
-                         ControllerPathReason::kTransitionPunt, m);
+                         ControllerPathReason::kTransitionPunt);
   return true;
 }
 
@@ -761,7 +738,7 @@ void Network::handle_flow_lazyctrl(const workload::Flow& flow,
                                    SwitchId src_sw, SwitchId dst_sw,
                                    const net::Packet& pkt) {
   // Grouping transition window (appendix B preload).
-  if (handle_transition_flow(flow, src_sw, dst_sw, pkt, *metrics_, nullptr)) {
+  if (handle_transition_flow(flow, src_sw, dst_sw, pkt)) {
     return;
   }
 
@@ -769,15 +746,14 @@ void Network::handle_flow_lazyctrl(const workload::Flow& flow,
       switches_[src_sw.value()]->decide(pkt, flow.start,
                                         ControlMode::kLazyCtrl);
   process_lazyctrl_decision(flow, src_sw, dst_sw, pkt,
-                            DecisionView{d.kind, d.candidates}, *metrics_,
-                            nullptr);
+                            DecisionView{d.kind, d.candidates});
 }
 
 void Network::process_lazyctrl_decision(const workload::Flow& flow,
                                         SwitchId src_sw, SwitchId dst_sw,
                                         const net::Packet& pkt,
-                                        const DecisionView& d, RunMetrics& m,
-                                        ControllerDefer* defer) {
+                                        const DecisionView& d) {
+  RunMetrics& m = *metrics_;
   const PathDelays paths = path_delays();
   const SimDuration steady = paths.steady(src_sw, dst_sw);
 
@@ -786,21 +762,16 @@ void Network::process_lazyctrl_decision(const workload::Flow& flow,
   if (host_pair_excluded(flow) &&
       d.kind != EdgeSwitch::DecisionKind::kFlowTableHit &&
       d.kind != EdgeSwitch::DecisionKind::kLocalDeliver) {
-    if (defer != nullptr &&
-        defer->defer(flow, src_sw, dst_sw, pkt,
-                     ControllerPathReason::kExcludedHosts)) {
-      return;
-    }
     finish_controller_flow(flow, src_sw, dst_sw, pkt,
-                           ControllerPathReason::kExcludedHosts, m);
+                           ControllerPathReason::kExcludedHosts);
     return;
   }
 
-  const bool attr = obs::flow_attribution_enabled() && defer == nullptr;
+  const bool attr = obs::flow_attribution_enabled();
   switch (d.kind) {
     case EdgeSwitch::DecisionKind::kFlowTableHit: {
       ++m.flows_flow_table_hit;
-      account_flow_latency(flow, steady, steady, m);
+      account_flow_latency(flow, steady, steady);
       if (attr) {
         record_flow_attribution(flow, src_sw, dst_sw,
                                 obs::FlowPathKind::kFlowTableHit,
@@ -810,7 +781,7 @@ void Network::process_lazyctrl_decision(const workload::Flow& flow,
     }
     case EdgeSwitch::DecisionKind::kLocalDeliver: {
       ++m.flows_local_delivery;
-      account_flow_latency(flow, paths.local, paths.local, m);
+      account_flow_latency(flow, paths.local, paths.local);
       if (attr) {
         record_flow_attribution(flow, src_sw, dst_sw,
                                 obs::FlowPathKind::kLocalDeliver,
@@ -828,7 +799,7 @@ void Network::process_lazyctrl_decision(const workload::Flow& flow,
         const std::uint64_t extras = d.candidates.size() - 1;
         m.bf_false_positive_copies += extras * flow.packets;
         m.bf_misforward_drops += extras * flow.packets;
-        account_flow_latency(flow, paths.cross, paths.cross, m);
+        account_flow_latency(flow, paths.cross, paths.cross);
         if (attr) {
           record_flow_attribution(flow, src_sw, dst_sw,
                                   obs::FlowPathKind::kIntraGroup,
@@ -842,24 +813,14 @@ void Network::process_lazyctrl_decision(const workload::Flow& flow,
       // controller installs an exact rule and forwards the packet.
       m.bf_false_positive_copies += d.candidates.size();
       m.bf_misforward_drops += d.candidates.size();
-      if (defer != nullptr &&
-          defer->defer(flow, src_sw, dst_sw, pkt,
-                       ControllerPathReason::kPureFalsePositive)) {
-        return;
-      }
       finish_controller_flow(flow, src_sw, dst_sw, pkt,
-                             ControllerPathReason::kPureFalsePositive, m);
+                             ControllerPathReason::kPureFalsePositive);
       return;
     }
     case EdgeSwitch::DecisionKind::kToController: {
       // Inter-group flow: PacketIn, coarse (tenant, dst) rule installed.
-      if (defer != nullptr &&
-          defer->defer(flow, src_sw, dst_sw, pkt,
-                       ControllerPathReason::kInterGroupPunt)) {
-        return;
-      }
       finish_controller_flow(flow, src_sw, dst_sw, pkt,
-                             ControllerPathReason::kInterGroupPunt, m);
+                             ControllerPathReason::kInterGroupPunt);
       return;
     }
   }
@@ -868,8 +829,8 @@ void Network::process_lazyctrl_decision(const workload::Flow& flow,
 void Network::finish_controller_flow(const workload::Flow& flow,
                                      SwitchId src_sw, SwitchId dst_sw,
                                      const net::Packet& pkt,
-                                     ControllerPathReason reason,
-                                     RunMetrics& m) {
+                                     ControllerPathReason reason) {
+  RunMetrics& m = *metrics_;
   obs::trace_instant(obs::TraceEventType::kFlowPunt, flow.start,
                      static_cast<std::uint64_t>(reason), src_sw.value());
   const SimTime now = flow.start;
@@ -878,8 +839,6 @@ void Network::finish_controller_flow(const workload::Flow& flow,
   const SimDuration steady = paths.steady(src_sw, dst_sw);
   EdgeSwitch& sw = *switches_[src_sw.value()];
 
-  // finish_controller_flow is always coordinator-side (it touches shared
-  // controller state), so attribution needs no defer gate here.
   const bool attr = obs::flow_attribution_enabled();
   ControllerTripBreakdown bd;
   ControllerTripBreakdown* bdp = attr ? &bd : nullptr;
@@ -894,7 +853,7 @@ void Network::finish_controller_flow(const workload::Flow& flow,
   const SwitchId via = pure_fp ? SwitchId::invalid() : src_sw;
 
   const PuntOutcome out =
-      controller_punt_with_retry(flow.id, now + report_at, via, bdp, m);
+      controller_punt_with_retry(flow.id, now + report_at, via, bdp);
 
   if (!out.delivered) {
     // The punt exhausted every retry. LazyCtrl degrades gracefully: the
@@ -907,7 +866,7 @@ void Network::finish_controller_flow(const workload::Flow& flow,
       m.peer_link_messages += sw.gfib().peer_count();
       const SimDuration first = report_at + out.delay + paths.cross +
                                 lat.datapath + lat.switch_processing;
-      account_flow_latency(flow, first, steady, m);
+      account_flow_latency(flow, first, steady);
       e2e = first;
       path = obs::FlowPathKind::kDegradedFlood;
     } else {
@@ -925,7 +884,7 @@ void Network::finish_controller_flow(const workload::Flow& flow,
   switch (reason) {
     case ControllerPathReason::kOpenFlowMiss: {
       install_reactive_rule(sw, pkt, dst_sw, /*exact_match=*/true, now);
-      account_flow_latency(flow, steady + ctrl, steady, m);
+      account_flow_latency(flow, steady + ctrl, steady);
       e2e = steady + ctrl;
       path = obs::FlowPathKind::kOpenFlowMiss;
       break;
@@ -933,7 +892,7 @@ void Network::finish_controller_flow(const workload::Flow& flow,
     case ControllerPathReason::kTransitionPunt: {
       ++m.transition_punts;
       install_reactive_rule(sw, pkt, dst_sw, /*exact_match=*/false, now);
-      account_flow_latency(flow, steady + ctrl, steady, m);
+      account_flow_latency(flow, steady + ctrl, steady);
       e2e = steady + ctrl;
       path = obs::FlowPathKind::kTransitionPunt;
       break;
@@ -943,7 +902,7 @@ void Network::finish_controller_flow(const workload::Flow& flow,
       install_reactive_rule(sw, pkt, dst_sw, /*exact_match=*/false, now);
       ++m.flows_inter_group;
       m.inter_group_arrivals.add_event(now);
-      account_flow_latency(flow, steady + ctrl, steady, m);
+      account_flow_latency(flow, steady + ctrl, steady);
       e2e = steady + ctrl;
       path = reason == ControllerPathReason::kExcludedHosts
                  ? obs::FlowPathKind::kExcludedHosts
@@ -954,7 +913,7 @@ void Network::finish_controller_flow(const workload::Flow& flow,
       install_reactive_rule(sw, pkt, dst_sw, /*exact_match=*/false, now);
       ++m.flows_inter_group;
       m.inter_group_arrivals.add_event(now);
-      account_flow_latency(flow, report_at + ctrl + lat.datapath, steady, m);
+      account_flow_latency(flow, report_at + ctrl + lat.datapath, steady);
       e2e = report_at + ctrl + lat.datapath;
       path = obs::FlowPathKind::kPureFalsePositive;
       break;
@@ -1273,7 +1232,22 @@ bool Network::force_regroup() {
   return run_legacy_incupdate();
 }
 
-Network::ReplayTimers Network::begin_replay(const workload::Trace& trace) {
+void Network::state_report_tick() {
+  if (config_.mode == ControlMode::kLazyCtrl) {
+    metrics_->state_link_messages += controller_.grouping().group_count;
+  }
+}
+
+void Network::end_replay() {
+  simulator_.cancel(replay_timers_.window);
+  simulator_.cancel(replay_timers_.report);
+  if (replay_timers_.dgm != 0) simulator_.cancel(replay_timers_.dgm);
+  if (replay_timers_.reconcile != 0) {
+    simulator_.cancel(replay_timers_.reconcile);
+  }
+}
+
+void Network::replay(const workload::Trace& trace) {
   assert(bootstrapped_ && "call bootstrap() before replay()");
   assert(!replayed_);
   replayed_ = true;
@@ -1287,18 +1261,18 @@ Network::ReplayTimers Network::begin_replay(const workload::Trace& trace) {
   fresh->preload_rules_installed = metrics_->preload_rules_installed;
   metrics_ = std::move(fresh);
 
-  // Periodic machinery.
-  ReplayTimers timers;
-  timers.window = simulator_.schedule_periodic(
+  // Periodic machinery. The timer ids are kept in `replay_timers_` so a
+  // checkpoint can classify the pending queue.
+  replay_timers_.window = simulator_.schedule_periodic(
       config_.grouping.stats_window, [this] { roll_stats_window(); });
-  timers.report = simulator_.schedule_periodic(
+  replay_timers_.report = simulator_.schedule_periodic(
       config_.state_report_period, [this] { state_report_tick(); });
   if (dgm_) {
-    timers.dgm = simulator_.schedule_periodic(
+    replay_timers_.dgm = simulator_.schedule_periodic(
         config_.dgm.maintenance_period, [this] { run_dgm_maintenance(); });
   }
   if (config_.controller.reconcile_period > 0) {
-    timers.reconcile = simulator_.schedule_periodic(
+    replay_timers_.reconcile = simulator_.schedule_periodic(
         config_.controller.reconcile_period, [this] { reconcile_state(); });
   }
 
@@ -1310,32 +1284,6 @@ Network::ReplayTimers Network::begin_replay(const workload::Trace& trace) {
           perform_migration(host, to);
         });
   }
-  replay_timers_ = timers;
-  return timers;
-}
-
-void Network::state_report_tick() {
-  if (config_.mode == ControlMode::kLazyCtrl) {
-    metrics_->state_link_messages += controller_.grouping().group_count;
-  }
-}
-
-void Network::end_replay(const ReplayTimers& timers) {
-  simulator_.cancel(timers.window);
-  simulator_.cancel(timers.report);
-  if (timers.dgm != 0) simulator_.cancel(timers.dgm);
-  if (timers.reconcile != 0) simulator_.cancel(timers.reconcile);
-}
-
-void Network::replay(const workload::Trace& trace) {
-  if (config_.runtime.num_shards > 1) {
-    // Sharded parallel replay (src/runtime): group-sharded worker threads
-    // under bounded-lag synchronization; see Config.runtime for the modes.
-    runtime::ShardedRuntime sharded(*this);
-    sharded.replay(trace);
-    return;
-  }
-  const ReplayTimers timers = begin_replay(trace);
 
   // Cursor-driven flow injection (sim::schedule_cursor_chain): one
   // pending event at a time. With flow_batch_size > 1 each event drains a
@@ -1348,7 +1296,7 @@ void Network::replay(const workload::Trace& trace) {
   }
 
   simulator_.run_until(trace.horizon);
-  end_replay(timers);
+  end_replay();
 }
 
 sim::CursorStep Network::flow_cursor_step(
@@ -1383,17 +1331,12 @@ sim::CursorStep Network::flow_cursor_step(
 
 void Network::resume_replay(const workload::Trace& trace,
                             const ResumeCursor& rc) {
-  if (config_.runtime.num_shards > 1) {
-    runtime::ShardedRuntime sharded(*this);
-    sharded.resume(trace, rc);
-    return;
-  }
   if (rc.active) {
     sim::resume_cursor_chain(simulator_, rc.at, rc.seq, rc.id, rc.index,
                              flow_cursor_step(&trace.flows), &cursor_);
   }
   simulator_.run_until(trace.horizon);
-  end_replay(replay_timers_);
+  end_replay();
 }
 
 HostId Network::add_silent_host(TenantId tenant, SwitchId sw) {
@@ -1495,7 +1438,7 @@ std::size_t Network::total_gfib_bytes() const {
 
 void Network::register_stats(obs::Registry& r) {
   // RunMetrics: every field, straight off the X-macro lists. Gauges (not
-  // pointer counters) because begin_replay() replaces metrics_'s storage.
+  // pointer counters) because replay() replaces metrics_'s storage.
 #define LAZYCTRL_X(f)                    \
   r.gauge("metrics." #f,                 \
           [this] { return static_cast<double>(metrics_->f); });
@@ -1578,15 +1521,6 @@ void Network::register_stats(obs::Registry& r) {
     r.counter("dgm.flow_mods", &s.flow_mods);
   }
 
-  // Sharded-runtime span stats (all zero until a sharded replay ran).
-  r.counter("runtime.spans", &runtime_obs_.spans);
-  r.counter("runtime.flows", &runtime_obs_.flows);
-  r.counter("runtime.deferred_flows", &runtime_obs_.deferred_flows);
-  r.counter("runtime.drain_hits", &runtime_obs_.drain_hits);
-  r.counter("runtime.redecided_flows", &runtime_obs_.redecided_flows);
-  r.counter("runtime.repartitions", &runtime_obs_.repartitions);
-  r.counter("runtime.mailbox_high_water", &runtime_obs_.mailbox_high_water);
-
   // Wall-clock phase totals from the trace recorder (zero when tracing
   // was off for the run).
   const auto phase = [](obs::TraceEventType t) {
@@ -1600,8 +1534,6 @@ void Network::register_stats(obs::Registry& r) {
           phase(obs::TraceEventType::kGfibRebuild));
   r.gauge("phase.replay_span_wall_ms",
           phase(obs::TraceEventType::kReplaySpan));
-  r.gauge("phase.barrier_wait_wall_ms",
-          phase(obs::TraceEventType::kShardBarrierWait));
 
   // Observability health: ring overflow in either recorder means the
   // exported trace / flight-recorder window is incomplete.

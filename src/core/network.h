@@ -31,15 +31,11 @@
 #include "dgm/maintainer.h"
 #include "dgm/traffic_monitor.h"
 #include "graph/weighted_graph.h"
-#include "net/packet_arena.h"
+#include "net/packet_batch.h"
 #include "openflow/flow_table.h"
 #include "sim/simulator.h"
 #include "topo/topology.h"
 #include "workload/trace.h"
-
-namespace lazyctrl::runtime {
-class ShardedRuntime;
-}
 
 namespace lazyctrl::ckpt {
 class StateAccess;
@@ -51,7 +47,6 @@ class Registry;
 
 namespace lazyctrl::core {
 
-struct InvariantOptions;
 struct InvariantReport;
 class InvariantChecker;
 
@@ -72,9 +67,6 @@ class Network : private dgm::GroupingHost {
 
   /// Replays a trace to its horizon, driving flow setup, state reports and
   /// (when enabled) dynamic regrouping. May be called once per Network.
-  /// With config.runtime.num_shards > 1 the replay is delegated to the
-  /// sharded parallel runtime (src/runtime); in its deterministic mode the
-  /// resulting metrics are bit-identical to the single-threaded path.
   void replay(const workload::Trace& trace);
 
   /// Where a checkpointed flow-cursor chain should pick up again; built
@@ -90,9 +82,9 @@ class Network : private dgm::GroupingHost {
 
   /// Runs a checkpoint-restored replay to the trace horizon. Every timer
   /// and migration callback has already been re-attached by the restorer
-  /// (ckpt::StateAccess); this re-creates the flow-injection chain
-  /// (single-threaded or sharded) under its exact snapshot tuple and
-  /// drives the simulator. `rc` is the cursor the restorer recorded.
+  /// (ckpt::StateAccess); this re-creates the flow-injection chain under
+  /// its exact snapshot tuple and drives the simulator. `rc` is the
+  /// cursor the restorer recorded.
   void resume_replay(const workload::Trace& trace, const ResumeCursor& rc);
 
   /// Schedules a VM migration during replay (must be called before replay).
@@ -108,9 +100,9 @@ class Network : private dgm::GroupingHost {
 
   /// Assembles the first data packet of `flow` from its resolved endpoint
   /// records — the single definition of the flow -> packet mapping. The
-  /// per-flow datapath, the batched assembly and the sharded runtime's
-  /// workers all build packets through this helper, so the deterministic
-  /// mode's bit-identity contract cannot drift field by field.
+  /// per-flow datapath and the batched assembly both build packets
+  /// through this helper, so their bit-identity contract cannot drift
+  /// field by field.
   [[nodiscard]] static net::Packet make_flow_packet(
       const topo::HostInfo& src, const topo::HostInfo& dst,
       const workload::Flow& flow) noexcept;
@@ -162,29 +154,12 @@ class Network : private dgm::GroupingHost {
   // --- observability (src/obs) ---
   /// Registers every observable of this network into `registry` under the
   /// naming scheme of docs/OBSERVABILITY.md: all RunMetrics fields
-  /// (gauges — begin_replay() swaps the metrics storage, so pointers
-  /// taken now would dangle), controller load/outage-queue state, FIB
-  /// occupancy and G-FIB bytes, DGM round outcomes, sharded-runtime span
-  /// stats and the wall-clock phase totals. The registry must not outlive
-  /// this Network. Reading registered values never mutates run state.
+  /// (gauges — replay() swaps the metrics storage, so pointers taken now
+  /// would dangle), controller load/outage-queue state, FIB occupancy and
+  /// G-FIB bytes, DGM round outcomes and the wall-clock phase totals. The
+  /// registry must not outlive this Network. Reading registered values
+  /// never mutates run state.
   void register_stats(obs::Registry& registry);
-
-  /// Sharded-runtime statistics of the last replay(), copied out before
-  /// the ephemeral runtime is destroyed. `valid` stays false for
-  /// single-threaded replays.
-  struct RuntimeObsStats {
-    bool valid = false;
-    std::uint64_t spans = 0;            ///< bounded-lag window spans
-    std::uint64_t flows = 0;            ///< flows through the shard path
-    std::uint64_t deferred_flows = 0;   ///< controller-path deferrals
-    std::uint64_t drain_hits = 0;       ///< fast-mode mailbox drains
-    std::uint64_t redecided_flows = 0;  ///< stale-decision replays
-    std::uint64_t repartitions = 0;     ///< grouping-epoch repartitions
-    std::uint64_t mailbox_high_water = 0;  ///< max per-shard drain backlog
-  };
-  [[nodiscard]] const RuntimeObsStats& runtime_obs() const noexcept {
-    return runtime_obs_;
-  }
 
   // --- dynamic group maintenance (active when config.dgm.mode != kOff) ---
   /// Runs one DGM maintenance round now. Normally driven by the periodic
@@ -201,10 +176,10 @@ class Network : private dgm::GroupingHost {
   }
 
   // --- scenario injection seams (driven by scenario::ScenarioRunner) ---
-  // Everything here commits coordinator-side state between replay spans
-  // (scenario events are ordinary simulator events, fenced exactly like
-  // stats windows and migrations), so scenarios stay bit-deterministic
-  // under the batched datapath and the sharded runtime alike.
+  // Everything here commits state between replay batches (scenario
+  // events are ordinary simulator events, fenced exactly like stats
+  // windows and migrations), so scenarios stay bit-deterministic under
+  // the batched datapath.
 
   /// Marks tenants whose hosts stay dormant through bootstrap: their
   /// L-FIB/C-LIB records are not disseminated and their MACs are
@@ -230,8 +205,8 @@ class Network : private dgm::GroupingHost {
   // --- unreliable control plane (scenario seams) ---
   /// Runtime overrides of the control-channel fault model. Fault
   /// decisions are keyed on splitmix64(flow id, attempt, seed) — never
-  /// the run RNG — so runs stay bit-identical across shard counts and
-  /// rate changes only affect the messages they price.
+  /// the run RNG — so runs stay bit-identical across reps and rate
+  /// changes only affect the messages they price.
   void set_control_loss(double rate) noexcept {
     config_.controller.loss_rate = rate;
   }
@@ -284,12 +259,6 @@ class Network : private dgm::GroupingHost {
   }
 
  private:
-  /// The sharded parallel replay runtime drives the datapath through the
-  /// private seams below (begin/end_replay, the decision processors with
-  /// an explicit metrics sink, the controller-deferral hook and the span
-  /// install log) instead of a wide public surface.
-  friend class lazyctrl::runtime::ShardedRuntime;
-
   /// The read-only conservation-invariant checker (core/invariants.h)
   /// audits private state — switch tables, dormant hosts, failure wheels
   /// — without widening the public surface or being able to perturb a
@@ -313,7 +282,7 @@ class Network : private dgm::GroupingHost {
     }
   };
   /// The ONE definition of the data-plane path delays every flow-handling
-  /// site (sequential, batched, sharded drain, cold cache) prices from.
+  /// site (per-flow, batched, cold cache) prices from.
   [[nodiscard]] PathDelays path_delays() const noexcept {
     const LatencyModel& lat = config_.latency;
     return {2 * lat.host_link + lat.switch_processing,
@@ -329,9 +298,7 @@ class Network : private dgm::GroupingHost {
 
   /// Why a flow needs the central controller. The decision processors
   /// classify; finish_controller_flow() executes (round trip, reactive
-  /// rule, accounting). The split is the shard-boundary seam: a sharded
-  /// fast-mode worker defers the (reason-tagged) flow to the coordinator
-  /// instead of touching shared controller state.
+  /// rule, accounting).
   enum class ControllerPathReason : std::uint8_t {
     kOpenFlowMiss,       ///< baseline table miss -> exact-match rule
     kTransitionPunt,     ///< grouping transition window without preload
@@ -340,33 +307,17 @@ class Network : private dgm::GroupingHost {
     kInterGroupPunt,     ///< Fig. 5 miss everywhere -> PacketIn
   };
 
-  /// Deferral hook: when non-null and defer() returns true, the
-  /// controller path is NOT executed inline — the implementer owns
-  /// finishing the flow later (on the coordinator, in flow order).
-  struct ControllerDefer {
-    virtual bool defer(const workload::Flow& flow, SwitchId src_sw,
-                       SwitchId dst_sw, const net::Packet& pkt,
-                       ControllerPathReason reason) = 0;
-
-   protected:
-    ~ControllerDefer() = default;
-  };
-
-  /// Pending-timer handles of one replay, returned by begin_replay() and
-  /// released by end_replay() — the seam letting the sharded runtime wrap
-  /// the flow-injection loop while reusing all periodic machinery.
+  /// Pending-timer handles of the periodic machinery replay() schedules
+  /// (stats windows, state reports, DGM rounds, reconcile).
   struct ReplayTimers {
     sim::EventId window = 0;
     sim::EventId report = 0;
     sim::EventId dgm = 0;
     sim::EventId reconcile = 0;
   };
-  /// Re-buckets metrics to the trace horizon and schedules the periodic
-  /// machinery (stats windows, state reports, DGM rounds, migrations).
-  /// Also records the timer ids in `replay_timers_` so a checkpoint can
-  /// classify the pending queue.
-  ReplayTimers begin_replay(const workload::Trace& trace);
-  void end_replay(const ReplayTimers& timers);
+  /// Cancels the periodic timers in `replay_timers_` once the trace
+  /// horizon is reached (end of replay() and resume_replay()).
+  void end_replay();
 
   /// The flow-injection cursor step of the single-threaded replay
   /// (per-flow or batched, per config.batching.flow_batch_size). Shared
@@ -388,32 +339,21 @@ class Network : private dgm::GroupingHost {
                             SwitchId dst_sw, const net::Packet& pkt);
   void handle_flow_openflow(const workload::Flow& flow, SwitchId src_sw,
                             SwitchId dst_sw, const net::Packet& pkt);
-  // The decision processors take an explicit metrics sink `m` (the run
-  // metrics on the sequential path, a shard-local RunMetrics inside a
-  // fast-mode worker) and an optional controller-deferral hook. Any state
-  // they touch beyond `m` belongs to the ingress switch, which is owned
-  // by exactly one shard — the invariant making the parallel fast path
-  // race-free.
   /// The appendix-B transition-window pre-decide path. Returns true when
-  /// the flow was fully handled (preload hit, transition punt or punt
-  /// deferral).
+  /// the flow was fully handled (preload hit or transition punt).
   bool handle_transition_flow(const workload::Flow& flow, SwitchId src_sw,
-                              SwitchId dst_sw, const net::Packet& pkt,
-                              RunMetrics& m, ControllerDefer* defer);
+                              SwitchId dst_sw, const net::Packet& pkt);
   void process_openflow_decision(const workload::Flow& flow, SwitchId src_sw,
                                  SwitchId dst_sw, const net::Packet& pkt,
-                                 const DecisionView& d, RunMetrics& m,
-                                 ControllerDefer* defer);
+                                 const DecisionView& d);
   void process_lazyctrl_decision(const workload::Flow& flow, SwitchId src_sw,
                                  SwitchId dst_sw, const net::Packet& pkt,
-                                 const DecisionView& d, RunMetrics& m,
-                                 ControllerDefer* defer);
+                                 const DecisionView& d);
   /// Executes the controller path for a `reason`-classified flow:
   /// PacketIn round trip, reactive rule install, metric accounting.
-  /// Coordinator-thread only (touches CentralController state).
   void finish_controller_flow(const workload::Flow& flow, SwitchId src_sw,
                               SwitchId dst_sw, const net::Packet& pkt,
-                              ControllerPathReason reason, RunMetrics& m);
+                              ControllerPathReason reason);
   [[nodiscard]] bool host_pair_excluded(const workload::Flow& flow) const {
     return !excluded_hosts_.empty() &&
            (excluded_hosts_.contains(flow.src.value()) ||
@@ -451,8 +391,7 @@ class Network : private dgm::GroupingHost {
   /// attempt, so the conservation identities are unchanged by faults.
   PuntOutcome controller_punt_with_retry(std::uint64_t flow_id, SimTime now,
                                          SwitchId via,
-                                         ControllerTripBreakdown* breakdown,
-                                         RunMetrics& m);
+                                         ControllerTripBreakdown* breakdown);
 
   /// Installs the coarse inter-group rule (LazyCtrl) or the exact-match
   /// rule (OpenFlow) for a resolved flow.
@@ -461,7 +400,7 @@ class Network : private dgm::GroupingHost {
 
   void account_flow_latency(const workload::Flow& flow,
                             SimDuration first_packet,
-                            SimDuration steady_packet, RunMetrics& m);
+                            SimDuration steady_packet);
 
   /// Installs `grouping` (compacted) and rebuilds designated switches,
   /// G-FIBs and transition windows for every group whose member set
@@ -497,7 +436,7 @@ class Network : private dgm::GroupingHost {
   }
   void perform_migration(HostId host, SwitchId to);
   void roll_stats_window();
-  /// Body of the periodic state-report timer (begin_replay), shared with
+  /// Body of the periodic state-report timer (replay()), shared with
   /// the checkpoint restorer so the re-attached periodic runs the exact
   /// same code.
   void state_report_tick();
@@ -536,18 +475,18 @@ class Network : private dgm::GroupingHost {
     HostId host;
     SwitchId to;
     SimTime at;
-    /// Simulator event id once begin_replay() scheduled it (0 before);
+    /// Simulator event id once replay() scheduled it (0 before);
     /// lets a checkpoint classify and a restore re-attach the one-shot.
     sim::EventId event = 0;
   };
   std::vector<PendingMigration> pending_migrations_;
 
-  /// Timer ids of the current replay (valid once begin_replay() ran);
+  /// Timer ids of the current replay (valid once replay() started);
   /// read by the snapshot codec to classify pending periodic events.
   ReplayTimers replay_timers_;
 
-  /// Live position of the flow-injection cursor chain (sequential,
-  /// batched and sharded replays all publish through it), so a snapshot
+  /// Live position of the flow-injection cursor chain (per-flow and
+  /// batched replays both publish through it), so a snapshot
   /// can describe — and a restore re-create — the chain's single pending
   /// event.
   sim::CursorTracker cursor_;
@@ -573,23 +512,11 @@ class Network : private dgm::GroupingHost {
   /// records installs here for the staleness check.
   BatchScratch* active_batch_ = nullptr;
 
-  /// Non-null while the sharded runtime merges a window span: installs are
-  /// recorded per ingress switch (outer index = switch id) so the merge
-  /// can re-decide any later packet of the span they cover — the
-  /// cross-run generalization of the BatchScratch::installs staleness
-  /// check.
-  std::vector<std::vector<openflow::Match>>* span_install_log_ = nullptr;
-
-  /// Bumped by every apply_grouping(); the sharded runtime re-partitions
-  /// groups onto shards when it observes a new epoch at a span boundary.
+  /// Bumped by every apply_grouping() (the `grouping.epoch` stat).
   std::uint64_t grouping_epoch_ = 0;
 
   /// One failure-detection wheel per group (empty unless failover enabled).
   std::vector<std::unique_ptr<FailureWheel>> wheels_;
-
-  /// Last sharded replay's stats (see runtime_obs()); the ShardedRuntime
-  /// fills this in through the friend seam at the end of its replay.
-  RuntimeObsStats runtime_obs_;
 
   bool bootstrapped_ = false;
   bool replayed_ = false;

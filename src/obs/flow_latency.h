@@ -23,17 +23,15 @@
 //     runner calls it at every script event);
 //   * the flight-recorder ring — full per-stage records for a
 //     deterministic 1-in-N sample of flows, keyed on a mix of the flow
-//     id (NOT the run RNG), so the same flows are sampled on every run
-//     and across shard counts, and a run is bit-identical with sampling
-//     on or off (tested in tests/obs_test.cpp).
+//     id (NOT the run RNG), so the same flows are sampled on every run,
+//     and a run is bit-identical with sampling on or off (tested in
+//     tests/obs_test.cpp).
 //
 // Discipline mirrors TraceRecorder (obs/trace.h): compiled in but OFF
 // by default; the entire disabled cost at every emission site is one
 // relaxed load + predicted branch; enable() does all allocation;
 // recording never allocates and never touches simulation state.
-// Coordinator-thread only — fast-mode worker shards skip attribution
-// for their shard-local flows (controller-path flows still attribute at
-// the coordinator drain).
+// Record only from the thread that drives the simulation.
 #pragma once
 
 #include <array>

@@ -5,10 +5,7 @@
 // above is split into kSubBuckets equal-width sub-buckets, bounding the
 // relative quantile error at 1/kSubBuckets (~3%). record() is O(1) and
 // never allocates — the bucket array is inline — so histograms can sit
-// on the datapath side of an enable-flag branch; merge() is bucket-wise
-// addition, making per-shard histograms combinable exactly like
-// RunMetrics (merge == record-interleaved, bit for bit; tested in
-// tests/histogram_test.cpp).
+// on the datapath side of an enable-flag branch.
 //
 // This is the scale-proof replacement for the exact sample-storing
 // QuantileSketch (common/stats.h): constant 15 KiB regardless of sample
@@ -64,19 +61,6 @@ class LogHistogram {
     sum_ += v;
     if (v < min_) min_ = v;
     if (v > max_) max_ = v;
-  }
-
-  /// Bucket-wise addition; equivalent to having recorded the other
-  /// histogram's samples into this one in any interleaving.
-  void merge(const LogHistogram& other) noexcept {
-    if (other.count_ == 0) return;
-    for (std::size_t i = 0; i < kBucketCount; ++i) {
-      buckets_[i] += other.buckets_[i];
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
   }
 
   void reset() noexcept { *this = LogHistogram{}; }

@@ -2,7 +2,7 @@
 //
 // Components register counters (a stable `const uint64_t*` read at
 // snapshot time) or gauges (an arbitrary callback returning double) under
-// dotted names ("controller.packet_ins", "runtime.mailbox_high_water").
+// dotted names ("controller.packet_ins", "grouping.epoch").
 // The registry never copies values at registration: a snapshot reads every
 // source live, so one registration at wiring time is enough for any number
 // of dumps. Naming scheme and the full catalog of names the stock wiring

@@ -28,7 +28,6 @@ constexpr TypeInfo kTypeInfo[kNumTypes] = {
     {"scenario_event", "scenario", "kind", "applied"},
     {"gfib_rebuild", "gfib", "peers", "bytes"},
     {"replay_span", "runtime", "flows", "span"},
-    {"shard_barrier_wait", "runtime", "shards", "span"},
     {"bootstrap", "phase", "switches", "hosts"},
 };
 
@@ -180,7 +179,7 @@ std::string TraceRecorder::export_chrome_json(
   out += "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n";
   append_meta(out, 1, 0, "process_name", "sim-time");
   append_meta(out, 2, 0, "process_name", "wall-clock");
-  append_meta(out, 2, 0, "thread_name", "coordinator");
+  append_meta(out, 2, 0, "thread_name", "simulator");
   // One sim-time track per category keeps instants from piling onto a
   // single row in the viewer.
   bool cat_used[kNumTypes] = {};

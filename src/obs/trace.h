@@ -14,14 +14,13 @@
 //   pid 1 "sim-time"   — instant events at their simulation timestamp,
 //                        one track (tid) per category.
 //   pid 2 "wall-clock" — ScopedTimer spans (replay spans, G-FIB rebuilds,
-//                        bootstrap, shard barrier waits) at monotonic
-//                        wall time since enable().
+//                        bootstrap) at monotonic wall time since enable().
 // The event catalog and a Perfetto walkthrough live in
 // docs/OBSERVABILITY.md.
 //
-// Threading: record only from the coordinator thread (every stock site
-// is coordinator-side — worker shards never trace). The enable flag is
-// an atomic so a stray cross-thread read is benign.
+// Threading: record only from the thread that drives the simulation
+// (every stock site does). The enable flag is an atomic so a stray
+// cross-thread read is benign.
 #pragma once
 
 #include <atomic>
@@ -43,8 +42,7 @@ enum class TraceEventType : std::uint8_t {
   kScenarioEvent,           ///< scenario script event fired
   // Wall-clock spans (ScopedTimer).
   kGfibRebuild,             ///< one switch group's G-FIB rebuild
-  kReplaySpan,              ///< one replay flow batch / shard span
-  kShardBarrierWait,        ///< coordinator waiting on shard barrier
+  kReplaySpan,              ///< one replay flow batch
   kBootstrap,               ///< topology + host learning before replay
   kNumTypes                 // sentinel; keep last
 };

@@ -123,10 +123,6 @@ ScenarioSpec generate_scenario(std::uint64_t seed, const FuzzOptions& opt) {
     s.config.controller.reconcile_period =
         pick(rng, {1 * kMinute, 5 * kMinute});
   }
-  // Deterministic mode only: the fuzzer's oracle is the bit-identity
-  // rerun, which is exactly that mode's contract (fast mode promises
-  // reproducibility, covered by tests/runtime_test.cpp).
-  s.config.runtime.num_shards = rng.next_bool(0.25) ? 2 : 1;
   s.bootstrap_history = rng.next_bool(0.7);
 
   // --- event script ---

@@ -366,10 +366,8 @@ void ScenarioRunner::apply_event(const ScenarioEvent& ev) {
                                      net_->simulator().now());
   }
   if (check_invariants_) {
-    run_invariant_check(std::string("after ") + to_string(ev.kind) +
-                            " at " +
-                            format_duration(net_->simulator().now()),
-                        /*end_of_run=*/false);
+    run_invariant_check(std::string("after ") + to_string(ev.kind) + " at " +
+                        format_duration(net_->simulator().now()));
   }
   if (ev.kind == EventKind::kCheckpoint) take_checkpoint();
 }
@@ -393,20 +391,10 @@ void ScenarioRunner::add_checkpoint_times(std::vector<SimTime> times) {
   extra_checkpoint_times_ = std::move(times);
 }
 
-void ScenarioRunner::run_invariant_check(const std::string& where,
-                                         bool end_of_run) {
+void ScenarioRunner::run_invariant_check(const std::string& where) {
   constexpr std::size_t kMaxViolations = 64;
   if (invariant_violations_.size() >= kMaxViolations) return;
-  core::InvariantOptions opts;
-  // Fast-mode sharded replay accumulates per-flow metrics in shard-local
-  // sinks merged only at end of replay, so mid-run counter identities do
-  // not hold there; the state invariants still do (scenario events commit
-  // at span fences).
-  if (!end_of_run && spec_.config.runtime.num_shards > 1 &&
-      spec_.config.runtime.mode == core::RuntimeMode::kFast) {
-    opts.metrics = false;
-  }
-  const core::InvariantReport report = core::check_invariants(*net_, opts);
+  const core::InvariantReport report = core::check_invariants(*net_);
   for (const std::string& v : report.violations) {
     if (invariant_violations_.size() >= kMaxViolations) {
       invariant_violations_.push_back("further violations suppressed");
@@ -478,7 +466,7 @@ bool ScenarioRunner::run(std::string* error) {
 
 void ScenarioRunner::end_of_run_checks() {
   if (!check_invariants_) return;
-  run_invariant_check("end of run", /*end_of_run=*/true);
+  run_invariant_check("end of run");
   // Trace-level conservation, only meaningful once the replay is done:
   // every flow the (shaped) trace contains must have been injected and
   // counted exactly once.

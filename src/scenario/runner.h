@@ -6,14 +6,14 @@
 // to the trace BEFORE replay so the flow schedule itself is part of the
 // deterministic input), constructs a core::Network, schedules the event
 // script into the discrete-event simulator through the Network's
-// scenario seams, and replays — single-threaded, batched or sharded,
-// whatever the spec's `runtime.*` knobs select.
+// scenario seams, and replays — per-flow or batched, whichever
+// `batching.flow_batch_size` selects.
 //
-// Determinism contract: every scenario event commits coordinator-side
-// state and is fenced by Simulator::next_event_time() exactly like the
-// existing periodic machinery, so the same spec produces bit-identical
-// RunMetrics on every run and across `runtime.num_shards` settings in
-// deterministic mode (regression-tested in tests/scenario_test.cpp).
+// Determinism contract: every scenario event commits its state as an
+// ordinary simulator event, fenced by Simulator::next_event_time()
+// exactly like the existing periodic machinery, so the same spec
+// produces bit-identical RunMetrics on every run (regression-tested in
+// tests/scenario_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -140,7 +140,7 @@ class ScenarioRunner {
   void build_trace();
   void apply_event(const ScenarioEvent& ev);
   /// Runs the invariant checker now, prefixing violations with `where`.
-  void run_invariant_check(const std::string& where, bool end_of_run);
+  void run_invariant_check(const std::string& where);
   void schedule_migration_burst(const ScenarioEvent& ev,
                                 std::uint64_t stream_id);
   /// Per-tenant activity windows [from, to) implied by the event script

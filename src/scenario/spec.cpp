@@ -457,28 +457,6 @@ bool set_config_key(ScenarioSpec& spec, const std::string& key,
   if (key == "batching.flow_batch_size") {
     return u64(&c.batching.flow_batch_size);
   }
-  // runtime
-  if (key == "runtime.num_shards") {
-    if (!u64(&c.runtime.num_shards)) return false;
-    if (c.runtime.num_shards == 0) {
-      *err = "runtime.num_shards must be positive";
-      return false;
-    }
-    return true;
-  }
-  if (key == "runtime.mode") {
-    if (value == "deterministic") {
-      c.runtime.mode = core::RuntimeMode::kDeterministic;
-    } else if (value == "fast") {
-      c.runtime.mode = core::RuntimeMode::kFast;
-    } else {
-      *err = "runtime.mode expects deterministic | fast, got '" + value + "'";
-      return false;
-    }
-    return true;
-  }
-  if (key == "runtime.sync_window") return dur(&c.runtime.sync_window);
-
   *err = "unknown [config] key '" + key + "'";
   return false;
 }
@@ -1014,14 +992,6 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
   out << "rules.flow_table_capacity = " << c.rules.flow_table_capacity
       << "\n";
   out << "batching.flow_batch_size = " << c.batching.flow_batch_size << "\n";
-  out << "runtime.num_shards = " << c.runtime.num_shards << "\n";
-  out << "runtime.mode = "
-      << (c.runtime.mode == core::RuntimeMode::kDeterministic
-              ? "deterministic"
-              : "fast")
-      << "\n";
-  out << "runtime.sync_window = " << format_duration(c.runtime.sync_window)
-      << "\n";
   out << "controller.servers = " << c.controller.servers << "\n";
   out << "ctrl.loss_rate = " << fmt_double(c.controller.loss_rate) << "\n";
   out << "ctrl.dup_rate = " << fmt_double(c.controller.dup_rate) << "\n";

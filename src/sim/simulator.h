@@ -170,7 +170,7 @@ struct CursorTracker {
 
 /// Schedules a self-continuing one-event-at-a-time cursor chain starting
 /// with cursor 0 at `first_at`. This owns the lifetime-sensitive pattern
-/// shared by the replay flow injectors (sequential, batched and sharded):
+/// shared by the replay flow injectors (per-flow and batched):
 /// the stored continuation holds only a weak self-reference — a strong
 /// one would form a shared_ptr cycle and leak it after every replay —
 /// while each scheduled event captures a strong reference, which is what

@@ -1,7 +1,7 @@
 // Tests for the checkpoint/restore codec (src/ckpt): the bit-identity
 // contract — restore(checkpoint(s)) reproduces the snapshot byte for
 // byte and a resumed replay finishes with RunMetrics identical to the
-// uninterrupted run's, across both G-FIB layouts and shard counts — the
+// uninterrupted run's, across both G-FIB layouts — the
 // fence-purity guarantee over every committed example scenario, and the
 // robustness contract: corrupt, truncated or version-skewed snapshots
 // fail with an offset-diagnosed error, never a crash or a silent
@@ -32,7 +32,7 @@ using scenario::ScenarioRunner;
 // failover wheels ticking, a DGM timer armed, a controller outage just
 // past, future script events still scheduled and the flow cursor mid
 // trace. The checkpoint at 8m sits between a failure and its recovery.
-std::string spec_text(const std::string& layout, unsigned shards) {
+std::string spec_text(const std::string& layout) {
   std::ostringstream out;
   out << R"([scenario]
 name = ckpt_exercise
@@ -62,8 +62,6 @@ failover = true
 controller.servers = 1
 )";
   out << "fib.layout = " << layout << "\n";
-  out << "runtime.num_shards = " << shards << "\n";
-  out << "runtime.mode = deterministic\n";
   out << R"(
 [events]
 at=4m traffic_surge factor=2 duration=4m
@@ -85,10 +83,9 @@ scenario::ScenarioSpec parse_or_die(const std::string& text) {
 
 /// Runs the exercise scenario to completion and returns the runner (for
 /// its final metrics and the mid-run snapshot).
-std::unique_ptr<ScenarioRunner> run_exercise(const std::string& layout,
-                                             unsigned shards) {
+std::unique_ptr<ScenarioRunner> run_exercise(const std::string& layout) {
   auto runner =
-      std::make_unique<ScenarioRunner>(parse_or_die(spec_text(layout, shards)));
+      std::make_unique<ScenarioRunner>(parse_or_die(spec_text(layout)));
   std::string err;
   EXPECT_TRUE(runner->run(&err)) << err;
   EXPECT_EQ(runner->snapshots().size(), 1u);
@@ -100,23 +97,16 @@ std::unique_ptr<ScenarioRunner> run_exercise(const std::string& layout,
 
 // ------------------------------------------------- round-trip identity
 
-class CkptMatrixTest
-    : public ::testing::TestWithParam<std::pair<const char*, unsigned>> {};
+class CkptMatrixTest : public ::testing::TestWithParam<const char*> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    LayoutsAndShards, CkptMatrixTest,
-    ::testing::Values(std::pair<const char*, unsigned>{"linear", 1},
-                      std::pair<const char*, unsigned>{"linear", 2},
-                      std::pair<const char*, unsigned>{"sliced", 1},
-                      std::pair<const char*, unsigned>{"sliced", 2}),
-    [](const auto& info) {
-      return std::string(info.param.first) + "_shards" +
-             std::to_string(info.param.second);
-    });
+INSTANTIATE_TEST_SUITE_P(Layouts, CkptMatrixTest,
+                         ::testing::Values("linear", "sliced"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 TEST_P(CkptMatrixTest, RestoreThenSaveReproducesSnapshotBytes) {
-  const auto [layout, shards] = GetParam();
-  const auto runner = run_exercise(layout, shards);
+  const auto runner = run_exercise(GetParam());
   const std::vector<std::uint8_t>& bytes = runner->snapshots()[0].bytes;
 
   std::string err;
@@ -129,8 +119,7 @@ TEST_P(CkptMatrixTest, RestoreThenSaveReproducesSnapshotBytes) {
 }
 
 TEST_P(CkptMatrixTest, ResumedRunIsBitIdenticalToUninterrupted) {
-  const auto [layout, shards] = GetParam();
-  const auto full = run_exercise(layout, shards);
+  const auto full = run_exercise(GetParam());
 
   std::string err;
   auto resumed = ScenarioRunner::restore(full->snapshots()[0].bytes, &err);
@@ -144,7 +133,7 @@ TEST_P(CkptMatrixTest, ResumedRunIsBitIdenticalToUninterrupted) {
 }
 
 TEST(CkptTest, SnapshotAtRecordsTheFenceTime) {
-  const auto runner = run_exercise("linear", 1);
+  const auto runner = run_exercise("linear");
   EXPECT_EQ(runner->snapshots()[0].at, 8 * kMinute);
 }
 
@@ -152,7 +141,7 @@ TEST(CkptTest, ExtraCheckpointsResumeBitIdentically) {
   // --checkpoint-every style fences (no checkpoint_at in the spec text)
   // must also resume bit-identically, including one landing on a script
   // event's own fence time (the script event commits first).
-  auto spec = parse_or_die(spec_text("linear", 1));
+  auto spec = parse_or_die(spec_text("linear"));
   spec.events.erase(spec.events.begin() + 4);  // drop the checkpoint_at
   auto full = std::make_unique<ScenarioRunner>(spec);
   full->add_checkpoint_times({6 * kMinute, 10 * kMinute});
@@ -175,8 +164,7 @@ TEST_P(CkptMatrixTest, ExtraCheckpointFencesAreMetricsNeutral) {
   // snapshot fences must finish with RunMetrics bit-identical to the
   // plain run (the fences shift simulator event ids and batch windows,
   // neither of which may affect any recorded metric).
-  const auto [layout, shards] = GetParam();
-  const auto spec = parse_or_die(spec_text(layout, shards));
+  const auto spec = parse_or_die(spec_text(GetParam()));
   ScenarioRunner plain(spec);
   std::string err;
   ASSERT_TRUE(plain.run(&err)) << err;
@@ -192,7 +180,7 @@ TEST_P(CkptMatrixTest, ExtraCheckpointFencesAreMetricsNeutral) {
 TEST(CkptTest, RestoredRunnerContinuesSnapshotNumbering) {
   // A resumed run must take the snapshots the uninterrupted run would
   // still take, with the same numbering (index continuity).
-  auto spec = parse_or_die(spec_text("linear", 1));
+  auto spec = parse_or_die(spec_text("linear"));
   auto full = std::make_unique<ScenarioRunner>(spec);
   full->add_checkpoint_times({10 * kMinute});
   std::string err;
@@ -208,18 +196,6 @@ TEST(CkptTest, RestoredRunnerContinuesSnapshotNumbering) {
       << resumed->snapshots()[0].error;
   EXPECT_EQ(resumed->snapshots()[0].bytes, full->snapshots()[1].bytes)
       << "the resumed run's next snapshot differs from the uninterrupted one";
-}
-
-TEST(CkptTest, FastShardedConfigIsRejectedWithDiagnosis) {
-  auto spec = parse_or_die(spec_text("linear", 2));
-  spec.config.runtime.mode = core::RuntimeMode::kFast;
-  auto runner = std::make_unique<ScenarioRunner>(spec);
-  std::string err;
-  ASSERT_TRUE(runner->run(&err)) << err;
-  ASSERT_EQ(runner->snapshots().size(), 1u);
-  EXPECT_TRUE(runner->snapshots()[0].bytes.empty());
-  EXPECT_NE(runner->snapshots()[0].error.find("fast"), std::string::npos)
-      << runner->snapshots()[0].error;
 }
 
 // ---------------------------------------------------- fence purity
@@ -282,7 +258,7 @@ constexpr std::size_t kHeaderSize = 20;
 
 const std::vector<std::uint8_t>& valid_snapshot() {
   static const std::vector<std::uint8_t> bytes = [] {
-    auto runner = run_exercise("linear", 1);
+    auto runner = run_exercise("linear");
     return runner->snapshots()[0].bytes;
   }();
   return bytes;

@@ -173,7 +173,8 @@ TEST(RngTest, StreamsAreDeterministicAndDecorrelated) {
 
   // Distinct stream ids diverge immediately, and deriving a stream does
   // not perturb any other stream (unlike fork(), which advances the
-  // parent) — the property letting N shards draw from one Config.seed.
+  // parent) — the property letting independent consumers draw from one
+  // master seed.
   Rng s0 = Rng::stream(99, 0);
   Rng s1 = Rng::stream(99, 1);
   EXPECT_NE(s0.next_u64(), s1.next_u64());
@@ -188,48 +189,6 @@ TEST(RunningStatsTest, Empty) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStatsTest, MergeMatchesSequential) {
-  RunningStats whole;
-  RunningStats left;
-  RunningStats right;
-  const double xs[] = {3.0, -1.5, 8.0, 0.25, 12.0, 4.5};
-  for (int i = 0; i < 6; ++i) {
-    whole.add(xs[i]);
-    (i < 3 ? left : right).add(xs[i]);
-  }
-  left.merge_from(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_EQ(left.min(), whole.min());
-  EXPECT_EQ(left.max(), whole.max());
-  EXPECT_DOUBLE_EQ(left.sum(), whole.sum());
-  EXPECT_DOUBLE_EQ(left.mean(), whole.mean());
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-12);
-
-  // Merging into/with an empty accumulator is the identity.
-  RunningStats empty;
-  empty.merge_from(whole);
-  EXPECT_EQ(empty.count(), whole.count());
-  EXPECT_DOUBLE_EQ(empty.mean(), whole.mean());
-  whole.merge_from(RunningStats{});
-  EXPECT_EQ(whole.count(), empty.count());
-}
-
-TEST(TimeBucketSeriesTest, MergeAddsBucketwise) {
-  TimeBucketSeries a(kHour, 4 * kHour);
-  TimeBucketSeries b(kHour, 4 * kHour);
-  a.add(30 * kMinute, 2.0);
-  a.add(3 * kHour + kMinute, 5.0);
-  b.add(30 * kMinute, 1.0);
-  b.add_event(kHour + kMinute);
-  a.merge_from(b);
-  EXPECT_EQ(a.bucket_events(0), 2u);
-  EXPECT_DOUBLE_EQ(a.bucket_sum(0), 3.0);
-  EXPECT_EQ(a.bucket_events(1), 1u);
-  EXPECT_DOUBLE_EQ(a.bucket_sum(1), 1.0);
-  EXPECT_EQ(a.bucket_events(3), 1u);
-  EXPECT_DOUBLE_EQ(a.bucket_sum(3), 5.0);
 }
 
 TEST(RunningStatsTest, MeanMinMax) {
@@ -310,24 +269,6 @@ TEST(TimeTest, Conversions) {
   EXPECT_EQ(kHour, 3600 * kSecond);
 }
 
-TEST(TimeBucketSeriesTest, MergeGeometryMismatch) {
-  TimeBucketSeries a(kHour, 4 * kHour);
-  TimeBucketSeries b(kHour, 6 * kHour);
-  b.add(5 * kHour + kMinute, 1.0);
-#ifndef NDEBUG
-  // Debug builds assert on mismatched geometry — the real contract.
-  EXPECT_DEATH_IF_SUPPORTED(a.merge_from(b), "identical geometry");
-#else
-  // NDEBUG builds clamp to the shorter series instead of reading out of
-  // bounds: the overlapping prefix merges, the excess is dropped.
-  a.merge_from(b);
-  EXPECT_EQ(a.bucket_count(), 4u);
-  for (std::size_t i = 0; i < a.bucket_count(); ++i) {
-    EXPECT_EQ(a.bucket_events(i), 0u);
-  }
-#endif
-}
-
 TEST(TimeBucketSeriesTest, BucketLabelHoursBoundaries) {
   TimeBucketSeries s(2 * kHour, 24 * kHour);
   ASSERT_EQ(s.bucket_count(), 12u);
@@ -358,31 +299,6 @@ TEST(TimeBucketSeriesTest, PastHorizonClampsIntoLastBucket) {
   EXPECT_EQ(s.bucket_events(3), 1u);
   EXPECT_DOUBLE_EQ(s.bucket_sum(3), 7.0);
   EXPECT_EQ(s.bucket_events(0), 1u);
-}
-
-TEST(RunningStatsTest, MergeEmptySidesIsExact) {
-  RunningStats whole;
-  for (double x : {-2.0, 5.0, 9.5}) whole.add(x);
-
-  // empty.merge_from(nonempty) reproduces the source bit-exactly —
-  // including min/max, which a naive std::min against the 0-initialised
-  // empty state would corrupt.
-  RunningStats empty;
-  empty.merge_from(whole);
-  EXPECT_TRUE(empty.identical_to(whole));
-  EXPECT_DOUBLE_EQ(empty.min(), -2.0);
-  EXPECT_DOUBLE_EQ(empty.max(), 9.5);
-
-  // nonempty.merge_from(empty) is the identity.
-  RunningStats copy = whole;
-  copy.merge_from(RunningStats{});
-  EXPECT_TRUE(copy.identical_to(whole));
-
-  // empty + empty stays empty.
-  RunningStats a, b;
-  a.merge_from(b);
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_TRUE(a.identical_to(RunningStats{}));
 }
 
 }  // namespace

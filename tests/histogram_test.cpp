@@ -109,31 +109,6 @@ TEST(LogHistogramTest, QuantileRelativeErrorBounded) {
   }
 }
 
-TEST(LogHistogramTest, MergeEqualsRecordInterleaved) {
-  Rng rng(42);
-  LogHistogram a;
-  LogHistogram b;
-  LogHistogram interleaved;
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t v = rng.next_below(1u << 30);
-    (i % 3 == 0 ? a : b).record(v);
-    interleaved.record(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a, interleaved);  // bucket-for-bucket, count, sum, min, max
-}
-
-TEST(LogHistogramTest, MergeWithEmptyIsIdentity) {
-  LogHistogram a;
-  a.record(99);
-  const LogHistogram before = a;
-  a.merge(LogHistogram{});
-  EXPECT_EQ(a, before);
-  LogHistogram empty;
-  empty.merge(a);
-  EXPECT_EQ(empty, a);
-}
-
 TEST(LogHistogramTest, LargeValuesDoNotOverflowIndexing) {
   LogHistogram h;
   h.record(~std::uint64_t{0});

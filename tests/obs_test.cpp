@@ -136,7 +136,7 @@ TEST(TraceRecorderTest, ChromeExportIsValidAndSorted) {
                      0);
   {
     obs::ScopedTimer outer(TraceEventType::kReplaySpan, 0, 10, 0);
-    obs::ScopedTimer inner(TraceEventType::kShardBarrierWait, 0, 4, 1);
+    obs::ScopedTimer inner(TraceEventType::kGfibRebuild, 0, 4, 1);
   }
 
   const std::string json = obs::recorder().export_chrome_json();
@@ -310,7 +310,7 @@ TEST(NetworkStatsTest, RegisterStatsExposesCoreCounters) {
   for (const char* name :
        {"metrics.flows_seen", "metrics.controller_packet_ins",
         "controller.clib_size", "fib.gfib_total_bytes", "grouping.epoch",
-        "runtime.spans", "phase.replay_span_wall_ms", "obs.trace_dropped",
+        "phase.replay_span_wall_ms", "obs.trace_dropped",
         "obs.flow_records_dropped", "latency.samples",
         "latency.e2e_ns.p50", "latency.e2e_ns.p99",
         "latency.ctrl_queue_ns.p999", "latency.edge_ns.p90"}) {

@@ -1,7 +1,7 @@
 // Tests for the declarative scenario engine (src/scenario): the .scn
 // parser (valid specs, line-numbered diagnostics, serialize/parse round
 // trip, overrides) and the ScenarioRunner's determinism contract (same
-// spec -> bit-identical RunMetrics, run to run and across shard counts).
+// spec -> bit-identical RunMetrics, run to run).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -43,8 +43,7 @@ group_size_limit = 6
 stats_window = 30s
 dgm.mode = periodic
 dgm.maintenance_period = 5m
-runtime.num_shards = 2
-runtime.mode = deterministic
+batching.flow_batch_size = 16
 fib.layout = linear
 rules.rule_ttl = 90s
 failover = true
@@ -87,7 +86,7 @@ TEST(ScenarioSpecTest, ParsesFullSpec) {
   EXPECT_EQ(s.config.grouping.group_size_limit, 6u);
   EXPECT_EQ(s.config.grouping.stats_window, 30 * kSecond);
   EXPECT_EQ(s.config.dgm.mode, core::DgmMode::kPeriodic);
-  EXPECT_EQ(s.config.runtime.num_shards, 2u);
+  EXPECT_EQ(s.config.batching.flow_batch_size, 16u);
   EXPECT_EQ(s.config.fib.layout, core::GFibLayout::kLinear);
   EXPECT_EQ(s.config.rules.rule_ttl, 90 * kSecond);
   EXPECT_TRUE(s.config.failover_enabled);
@@ -140,16 +139,24 @@ TEST(ScenarioSpecTest, RejectsMalformedControlFaultParameters) {
 }
 
 TEST(ScenarioSpecTest, UnknownKeyReportsLineNumber) {
+  // The sharded replay runtime and its keys are gone: a spec still naming
+  // one gets the same line-numbered diagnosis as any unknown key.
   const std::string text =
       "[scenario]\n"      // line 1
       "name = x\n"        // line 2
       "[config]\n"        // line 3
       "mode = lazyctrl\n" // line 4
-      "no_such_knob = 1\n";  // line 5
+      "no_such_knob = 1\n"  // line 5
+      "runtime.num_shards = 2\n";  // line 6
   const ParseResult r = parse_scenario(text);
-  ASSERT_EQ(r.errors.size(), 1u) << r.error_text();
+  ASSERT_EQ(r.errors.size(), 2u) << r.error_text();
   EXPECT_EQ(r.errors[0].line, 5);
   EXPECT_NE(r.errors[0].message.find("no_such_knob"), std::string::npos);
+  EXPECT_EQ(r.errors[1].line, 6);
+  EXPECT_NE(r.errors[1].message.find("unknown [config] key "
+                                     "'runtime.num_shards'"),
+            std::string::npos)
+      << r.errors[1].message;
 }
 
 TEST(ScenarioSpecTest, CollectsMultipleDiagnostics) {
@@ -280,9 +287,14 @@ TEST(ScenarioSpecTest, KindIrrelevantWorkloadKeysRoundTrip) {
 TEST(ScenarioSpecTest, ApplyOverride) {
   ScenarioSpec spec;
   std::string err;
-  EXPECT_TRUE(apply_override(spec, "config.runtime.num_shards=4", &err))
+  EXPECT_TRUE(apply_override(spec, "config.batching.flow_batch_size=4", &err))
       << err;
-  EXPECT_EQ(spec.config.runtime.num_shards, 4u);
+  EXPECT_EQ(spec.config.batching.flow_batch_size, 4u);
+  // Removed sharded-runtime key: a diagnosed override error.
+  EXPECT_FALSE(apply_override(spec, "config.runtime.num_shards=2", &err));
+  EXPECT_NE(err.find("unknown [config] key 'runtime.num_shards'"),
+            std::string::npos)
+      << err;
   EXPECT_TRUE(apply_override(spec, "workload.flows=123", &err)) << err;
   EXPECT_EQ(spec.workload.flows, 123u);
   EXPECT_TRUE(apply_override(spec, "scenario.seed=9", &err)) << err;
@@ -403,26 +415,9 @@ TEST(ScenarioRunnerTest, RerunIsBitIdentical) {
   EXPECT_EQ(a->trace().flow_count(), b->trace().flow_count());
 }
 
-TEST(ScenarioRunnerTest, ShardedDeterministicReplayIsBitIdentical) {
-  const ScenarioSpec spec = runner_spec();
-  const auto single = run_spec(spec);
-
-  ScenarioSpec sharded = spec;
-  std::string err;
-  ASSERT_TRUE(apply_override(sharded, "config.runtime.num_shards=2", &err))
-      << err;
-  ASSERT_TRUE(
-      apply_override(sharded, "config.runtime.mode=deterministic", &err))
-      << err;
-  const auto dual = run_spec(sharded);
-
-  EXPECT_TRUE(single->metrics().identical_to(dual->metrics()));
-}
-
-TEST(ScenarioRunnerTest, LossyControlPlaneIsBitIdenticalAcrossRepsAndShards) {
+TEST(ScenarioRunnerTest, LossyControlPlaneIsBitIdenticalAcrossReps) {
   // Fault decisions are keyed on splitmix64(flow id), never the run RNG,
-  // so a lossy run must replay bit-identically rep to rep AND across
-  // shard counts.
+  // so a lossy run must replay bit-identically rep to rep.
   ScenarioSpec spec = runner_spec();
   std::string err;
   ASSERT_TRUE(apply_override(spec, "config.ctrl.loss_rate=0.1", &err)) << err;
@@ -432,16 +427,6 @@ TEST(ScenarioRunnerTest, LossyControlPlaneIsBitIdenticalAcrossRepsAndShards) {
   const auto b = run_spec(spec);
   EXPECT_TRUE(a->metrics().identical_to(b->metrics()))
       << a->metrics().diff_report(b->metrics());
-
-  ScenarioSpec sharded = spec;
-  ASSERT_TRUE(apply_override(sharded, "config.runtime.num_shards=2", &err))
-      << err;
-  ASSERT_TRUE(
-      apply_override(sharded, "config.runtime.mode=deterministic", &err))
-      << err;
-  const auto dual = run_spec(sharded);
-  EXPECT_TRUE(a->metrics().identical_to(dual->metrics()))
-      << a->metrics().diff_report(dual->metrics());
 
   // The faults actually fired.
   EXPECT_GT(a->metrics().ctrl_msgs_lost, 0u);
