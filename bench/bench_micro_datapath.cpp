@@ -1,20 +1,13 @@
 // Micro + end-to-end benchmarks of the per-packet hot path.
 //
-// The headline numbers are the end-to-end replay throughputs of the two
-// datapath modes on an identical workload:
-//
-//   * single_packet — the legacy one-event-per-flow datapath
-//     (flow_batch_size = 1), i.e. the "before" of the batched-datapath
-//     work;
-//   * batched — the batched pipeline (flow_batch_size = 64): one simulator
-//     event per flow batch, per-switch staged decide_batch, hash-cached
-//     G-FIB scans, zero steady-state allocation.
+// The headline number is the end-to-end replay throughput: one simulator
+// event per fence-bounded run of flows, one EdgeSwitch::decide per flow,
+// zero steady-state allocation.
 //
 // Topology, trace and intensity history are constructed ONCE outside every
-// timed region (an earlier version of this bench timed setup together with
-// the replay, which made before/after comparisons dishonest); each timed
-// region covers exactly one Network::replay(). The harness repeats the
-// whole body and reports medians in BENCH_micro_datapath.json.
+// timed region; each timed region covers exactly one Network::replay().
+// The harness repeats the whole body and reports medians in
+// BENCH_micro_datapath.json.
 //
 // The micro section times the individual hot-path kernels (Bloom probe,
 // G-FIB scan, L-FIB lookup, flow-table lookup, Fig. 5 decision) in ns/op.
@@ -93,11 +86,10 @@ struct ReplayResult {
   std::size_t gfib_bytes = 0;
 };
 
-ReplayResult run_replay(const Setup& s, std::size_t flow_batch_size) {
+ReplayResult run_replay(const Setup& s) {
   core::Config cfg;
   cfg.mode = core::ControlMode::kLazyCtrl;
   cfg.grouping.group_size_limit = 18;
-  cfg.batching.flow_batch_size = flow_batch_size;
   core::Network net(s.topo, cfg);  // construction + bootstrap untimed
   net.bootstrap(s.history);
 
@@ -119,47 +111,21 @@ ReplayResult run_replay(const Setup& s, std::size_t flow_batch_size) {
 int body(benchx::BenchReport& report) {
   static const Setup setup;  // built once, outside every timed region
 
-  // --- end-to-end datapath throughput, before (single) vs after (batch) ---
-  const ReplayResult single = run_replay(setup, 1);
-  const ReplayResult batched = run_replay(setup, 64);
-  const double speedup = single.seconds / batched.seconds;
+  // --- end-to-end datapath throughput ---
+  const ReplayResult replay = run_replay(setup);
 
   std::printf("end-to-end replay (%zu flows, %zu switches):\n",
               setup.trace.flow_count(), setup.topo.switch_count());
-  std::printf("  %-22s %10.3fs %12.0f flows/s %14.0f packets/s\n",
-              "single-packet (before)", single.seconds, single.flows_per_sec,
-              single.packets_per_sec);
-  std::printf("  %-22s %10.3fs %12.0f flows/s %14.0f packets/s\n",
-              "batched (after)", batched.seconds, batched.flows_per_sec,
-              batched.packets_per_sec);
-  std::printf("  batched speedup: %.2fx\n\n", speedup);
+  std::printf("  %10.3fs %12.0f flows/s %14.0f packets/s\n\n",
+              replay.seconds, replay.flows_per_sec, replay.packets_per_sec);
 
-  // Regression guard at honest scale: the batched pipeline must never be
-  // slower than the single-packet datapath on the same workload. (At CI's
-  // tiny smoke scale batches degenerate to a handful of flows, so the
-  // gate only arms at full scale.)
-  int status = 0;
-  if (benchx::bench_scale() >= 1.0 && speedup < 1.0) {
-    std::printf("FAIL: batched datapath slower than single-packet "
-                "(%.2fx)\n",
-                speedup);
-    status = 1;
-  }
-
-  report.throughput("throughput_single_packet_flows_per_sec",
-                    single.flows_per_sec);
-  report.throughput("throughput_single_packet_packets_per_sec",
-                    single.packets_per_sec);
-  report.throughput("throughput_batched_flows_per_sec",
-                    batched.flows_per_sec);
-  report.throughput("throughput_batched_packets_per_sec",
-                    batched.packets_per_sec);
-  report.metric("batched_speedup", speedup, "x");
+  report.throughput("throughput_flows_per_sec", replay.flows_per_sec);
+  report.throughput("throughput_packets_per_sec", replay.packets_per_sec);
   report.controller_load("controller_packet_ins",
-                         static_cast<double>(batched.packet_ins));
-  report.latency_ms("first_packet_latency_mean_ms", batched.first_packet_ms);
+                         static_cast<double>(replay.packet_ins));
+  report.latency_ms("first_packet_latency_mean_ms", replay.first_packet_ms);
   report.memory_bytes("gfib_total_bytes",
-                      static_cast<double>(batched.gfib_bytes));
+                      static_cast<double>(replay.gfib_bytes));
 
   // --- micro kernels ---
   std::printf("hot-path kernels:\n");
@@ -272,7 +238,7 @@ int body(benchx::BenchReport& report) {
   }
 
   {
-    // Fig. 5 decision: local hosts + a 45-peer G-FIB, single vs batched.
+    // Fig. 5 decision: local hosts + a 45-peer G-FIB.
     core::Config cfg;
     core::EdgeSwitch sw(SwitchId{0}, IpAddress::for_switch(0),
                         MacAddress{0x060000000000ULL}, cfg);
@@ -296,29 +262,11 @@ int body(benchx::BenchReport& report) {
           static_cast<std::uint32_t>(i % (46 * 24)));
       do_not_optimize(sw.decide(p, 0, core::ControlMode::kLazyCtrl));
     });
-
-    constexpr std::size_t kBatch = 64;
-    std::vector<net::Packet> batch(kBatch, p);
-    core::EdgeSwitch::DecisionBatch decisions;
-    std::uint32_t dst = 0;
-    const double batched_ns =
-        ns_per_op(1 << 10, [&](std::size_t) {
-          for (auto& bp : batch) {
-            bp.dst_mac = MacAddress::for_host(dst++ % (46 * 24));
-          }
-          decisions.clear();
-          sw.decide_batch(batch, core::ControlMode::kLazyCtrl, decisions);
-          do_not_optimize(decisions.size());
-        }) /
-        kBatch;
     std::printf("  %-34s %8.1f ns/op\n", "edge decide (single)", single_ns);
-    std::printf("  %-34s %8.1f ns/op\n", "edge decide (batched pipeline)",
-                batched_ns);
     report.metric("edge_decide_single_ns", single_ns, "ns");
-    report.metric("edge_decide_batched_ns", batched_ns, "ns");
   }
 
-  return status;
+  return 0;
 }
 
 }  // namespace
@@ -329,10 +277,8 @@ int main() {
   opts.warmup = 1;
   return benchx::run_benchmark(
       "micro_datapath",
-      "Micro datapath — batched vs single-packet hot path",
-      "records before (single-packet) and after (batched) replay medians "
-      "on one workload; exits non-zero if batched regresses below "
-      "single-packet at full scale. The >= 1.5x acceptance of the "
-      "batched-datapath PR is vs the pre-PR build, measured back-to-back",
+      "Micro datapath — replay throughput and hot-path kernels",
+      "records the end-to-end replay median on one workload plus ns/op "
+      "of the Bloom, G-FIB, L-FIB, flow-table and Fig. 5 decide kernels",
       opts, body);
 }

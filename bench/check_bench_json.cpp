@@ -27,8 +27,8 @@ namespace {
 const std::map<std::string, std::vector<std::string>>& required_metrics() {
   static const std::map<std::string, std::vector<std::string>> kRequired = {
       {"micro_datapath",
-       {"throughput_batched_flows_per_sec", "batched_speedup",
-        "gfib_scan_ns", "gfib_scan_sliced_ns", "gfib_scan_speedup"}},
+       {"throughput_flows_per_sec", "gfib_scan_ns", "gfib_scan_sliced_ns",
+        "gfib_scan_speedup"}},
       {"ctrl_faults",
        {"delivered_fraction_loss_0", "delivered_fraction_loss_1pct",
         "delivered_fraction_loss_10pct", "degraded_fraction_loss_10pct",

@@ -44,8 +44,8 @@ inline constexpr std::uint64_t bloom_mix2(std::uint64_t x) noexcept {
 }  // namespace detail
 
 /// The precomputed double-hash pair for one key. Computing this once and
-/// probing N filters with it is the hash cache of the batched datapath:
-/// the avalanche mixing runs once per key, not once per (key, filter).
+/// probing N filters with it is the hash cache of the G-FIB scan: the
+/// avalanche mixing runs once per key, not once per (key, filter).
 struct BloomHash {
   std::uint64_t h1;
   std::uint64_t h2;  ///< kept odd so the probe sequence has full period
@@ -96,7 +96,7 @@ class BloomFilter {
   void insert(MacAddress mac) noexcept { insert(mac.bits()); }
 
   /// True if the key hashed into `h` *may* have been inserted; false means
-  /// definitely not. The allocation-free probe of the batched datapath.
+  /// definitely not. The allocation-free probe of the G-FIB scan.
   [[nodiscard]] bool may_contain(BloomHash h) const noexcept {
     std::uint64_t idx = h.h1;
     for (std::size_t i = 0; i < hashes_; ++i) {

@@ -22,7 +22,7 @@ class RunningStats {
   void add(double x) noexcept;
 
   /// Bit-exact equality of every accumulated moment (count, mean, M2,
-  /// min, max, sum) — the bar the batched-vs-per-flow replay and the
+  /// min, max, sum) — the bar the flow-cursor fence and the
   /// checkpoint-resume bit-identity checks are held to.
   [[nodiscard]] bool identical_to(const RunningStats& o) const noexcept {
     return count_ == o.count_ && mean_ == o.mean_ && m2_ == o.m2_ &&

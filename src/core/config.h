@@ -180,19 +180,6 @@ struct RuleConfig {
   bool operator==(const RuleConfig&) const = default;
 };
 
-/// Batched hot-path datapath (the replay() fast path).
-struct BatchConfig {
-  /// Trace flows handled per simulator event during replay(). Values <= 1
-  /// keep the legacy one-event-per-flow datapath. A batch never extends
-  /// past the next pending control-plane event (stats window, DGM round,
-  /// scheduled migration), so batched and single-packet modes produce
-  /// identical forwarding decisions and metrics — batching only amortises
-  /// event scheduling and per-decision allocation across the batch.
-  std::size_t flow_batch_size = 64;
-
-  bool operator==(const BatchConfig&) const = default;
-};
-
 /// Vestige of the removed sharded replay runtime: replay is always
 /// single-threaded, and nothing here can be set. It stays only because
 /// perfbench/perfbench.cpp still reads `spec.config.runtime.num_shards`
@@ -220,8 +207,6 @@ struct Config {
   FibConfig fib;
   /// Reactive-rule TTL and flow-table capacity.
   RuleConfig rules;
-  /// Batched hot-path datapath (flow batching in replay()).
-  BatchConfig batching;
   /// Always one shard (see RuntimeConfig).
   RuntimeConfig runtime;
   /// Designated switches report aggregated state this often (state link).

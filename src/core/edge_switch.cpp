@@ -75,104 +75,12 @@ EdgeSwitch::Decision EdgeSwitch::decide(const net::Packet& p, SimTime now,
 
 void EdgeSwitch::decide_batch(std::span<const net::Packet> batch,
                               ControlMode mode, DecisionBatch& out) {
-  const std::size_t base = out.decisions_.size();
-  out.decisions_.resize(base + batch.size());
-  std::vector<std::uint32_t>& open = out.scratch_;
-  open.clear();
-
-  // Stage 1: flow-table probe for every packet, in packet order.
-  for (std::uint32_t i = 0; i < batch.size(); ++i) {
-    const net::Packet& p = batch[i];
-    if (const openflow::FlowRule* rule = table_.lookup(p, p.created_at)) {
-      const_cast<openflow::FlowRule*>(rule)->expires_at =
-          p.created_at + rule_ttl_;
-      out.decisions_[base + i].kind = DecisionKind::kFlowTableHit;
-    } else {
-      open.push_back(i);
-    }
-  }
-  // OpenFlow baseline: every miss is a PacketIn (bulk punt, already the
-  // default-constructed kToController).
-  if (mode == ControlMode::kOpenFlow || open.empty()) return;
-
-  // Stage 2: L-FIB probe vector over the misses.
-  std::size_t kept = 0;
-  for (const std::uint32_t i : open) {
-    if (lfib_.contains(batch[i].dst_mac)) {
-      out.decisions_[base + i].kind = DecisionKind::kLocalDeliver;
-    } else {
-      open[kept++] = i;
-    }
-  }
-  open.resize(kept);
-
-  // Stage 3: grouped G-FIB scan with a batch-wide destination memo: every
-  // distinct destination of the run is scanned exactly once (one hash
-  // mixing pass, one slice/filter walk) and all repeats — consecutive or
-  // interleaved — share that scan's candidate range in the pool. A
-  // one-entry fast path still catches bursts to one MAC without touching
-  // the table.
-  std::vector<DecisionBatch::MemoEntry>& entries = out.memo_entries_;
-  std::vector<std::uint64_t>& slots = out.memo_slots_;
-  entries.clear();
-  std::size_t cap = slots.size() < 16 ? 16 : slots.size();
-  while (cap < open.size() * 2) cap <<= 1;
-  if (cap != slots.size() || ++out.memo_gen_ == 0) {
-    // Grown table or wrapped generation: all stamps are stale, wipe once.
-    slots.assign(cap, 0);
-    out.memo_gen_ = 1;
-  }
-  // Per-call reset (the G-FIB differs per switch) is the generation bump
-  // above: older-generation slots read as empty below.
-  const std::size_t mask = cap - 1;
-  const std::uint64_t gen_tag = std::uint64_t{out.memo_gen_} << 32;
-
-  std::uint64_t last_key = 0;
-  std::uint32_t last_begin = 0;
-  std::uint32_t last_end = 0;
-  bool last_valid = false;
-  for (const std::uint32_t i : open) {
-    const std::uint64_t key = batch[i].dst_mac.bits();
-    std::uint32_t begin;
-    std::uint32_t end;
-    if (last_valid && key == last_key) {
-      begin = last_begin;
-      end = last_end;
-    } else {
-      // Open addressing on the avalanche-mixed MAC (linear probing; the
-      // table is at most half full so the walk terminates). The mix is
-      // the same h1 the Bloom probe sequence starts from, computed once.
-      const BloomHash h = BloomHash::of(key);
-      std::size_t slot = static_cast<std::size_t>(h.h1) & mask;
-      while (true) {
-        const std::uint64_t tagged = slots[slot];
-        if ((tagged >> 32) != out.memo_gen_) {  // stale or never used
-          begin = static_cast<std::uint32_t>(out.pool_.size());
-          gfib_.query_into(h, out.pool_);
-          end = static_cast<std::uint32_t>(out.pool_.size());
-          entries.push_back({key, begin, end});
-          slots[slot] = gen_tag | static_cast<std::uint32_t>(entries.size());
-          break;
-        }
-        const std::uint32_t e = static_cast<std::uint32_t>(tagged);
-        if (entries[e - 1].key == key) {
-          begin = entries[e - 1].begin;
-          end = entries[e - 1].end;
-          break;
-        }
-        slot = (slot + 1) & mask;
-      }
-      last_key = key;
-      last_begin = begin;
-      last_end = end;
-      last_valid = true;
-    }
-    if (begin != end) {
-      out.decisions_[base + i].kind = DecisionKind::kIntraGroup;
-      out.decisions_[base + i].cand_begin = begin;
-      out.decisions_[base + i].cand_end = end;
-    }
-    // else: provably outside the group -> stays kToController (bulk punt).
+  for (const net::Packet& p : batch) {
+    const Decision d = decide(p, p.created_at, mode);
+    out.kinds_.push_back(d.kind);
+    out.pool_.insert(out.pool_.end(), d.candidates.begin(),
+                     d.candidates.end());
+    out.ends_.push_back(out.pool_.size());
   }
 }
 

@@ -135,7 +135,7 @@ struct RunMetrics {
   RunningStats controller_queue_delay_ms;
 
   /// Bit-exact equality of EVERY field — the single definition of the
-  /// determinism gate; the batched-vs-per-flow, checkpoint-resume and
+  /// determinism gate; the flow-cursor fence, checkpoint-resume and
   /// rep-to-rep checks all compare through this. When it
   /// returns false, diff_report() names the offender.
   [[nodiscard]] bool identical_to(const RunMetrics& o) const {

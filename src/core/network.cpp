@@ -515,9 +515,6 @@ void Network::install_reactive_rule(EdgeSwitch& sw, const net::Packet& pkt,
   rule.match.tenant = pkt.tenant;
   rule.match.dst_mac = pkt.dst_mac;
   if (exact_match) rule.match.src_mac = pkt.src_mac;  // OpenFlow baseline
-  if (active_batch_ != nullptr) {
-    active_batch_->installs.push_back(rule.match);
-  }
   if (dst_sw == sw.id()) {
     rule.action.type = openflow::ActionType::kForwardLocal;
   } else {
@@ -571,127 +568,25 @@ void Network::on_flow(const workload::Flow& flow) {
     switches_[src_sw.value()]->record_new_flow_to(dst_sw);
   }
 
+  // Grouping transition window (appendix B preload): handled without a
+  // decide().
+  if (config_.mode == ControlMode::kLazyCtrl &&
+      handle_transition_flow(flow, src_sw, dst_sw, pkt)) {
+    return;
+  }
+  const EdgeSwitch::Decision d =
+      switches_[src_sw.value()]->decide(pkt, flow.start, config_.mode);
   if (config_.mode == ControlMode::kOpenFlow) {
-    handle_flow_openflow(flow, src_sw, dst_sw, pkt);
+    process_openflow_decision(flow, src_sw, dst_sw, pkt, d);
   } else {
-    handle_flow_lazyctrl(flow, src_sw, dst_sw, pkt);
+    process_lazyctrl_decision(flow, src_sw, dst_sw, pkt, d);
   }
-}
-
-void Network::on_flow_batch(const std::vector<workload::Flow>& flows,
-                            std::size_t begin, std::size_t end) {
-  obs::ScopedTimer timer(obs::TraceEventType::kReplaySpan, flows[begin].start,
-                         end - begin, begin);
-  BatchScratch& b = *batch_;
-  b.packets.clear();
-  b.meta.clear();
-  const std::size_t n = end - begin;
-  const bool lazy = config_.mode == ControlMode::kLazyCtrl;
-
-  // Assemble: build the packet batch in the reusable staging buffer and
-  // classify each flow (same bookkeeping as the head of on_flow()).
-  for (std::size_t k = begin; k < end; ++k) {
-    const workload::Flow& flow = flows[k];
-    ++metrics_->flows_seen;
-    metrics_->flow_arrivals.add_event(flow.start);
-    const topo::HostInfo& src = topology_.host_info(flow.src);
-    const topo::HostInfo& dst = topology_.host_info(flow.dst);
-    b.packets.emplace_back(make_flow_packet(src, dst, flow));
-
-    BatchScratch::FlowMeta m{src.attached_switch, dst.attached_switch, false};
-    if (m.src_sw != m.dst_sw) {
-      switches_[m.src_sw.value()]->record_new_flow_to(m.dst_sw);
-    }
-    // Transition-window flows are handled without a decide() in sequential
-    // mode; deciding them here would add TTL-refresh side effects.
-    if (lazy && !host_pair_excluded(flow) &&
-        switches_[m.src_sw.value()]->in_transition(flow.start)) {
-      m.transition_special = true;
-    }
-    b.meta.push_back(m);
-  }
-
-  // Decide and handle run-by-run in global flow order (the controller
-  // queue is order-sensitive). A run is a maximal stretch of consecutive
-  // flows ingressing at the same switch; each run goes through the staged
-  // decide_batch pipeline just before it is handled, so installs from
-  // earlier runs are already visible. Within a run, a precomputed decision
-  // is stale iff a rule installed while handling an earlier flow of the
-  // same run matches the packet (or the flow table is bounded, where any
-  // install can evict) — those are re-decided sequentially.
-  active_batch_ = &b;
-  std::size_t k = 0;
-  while (k < n) {
-    const BatchScratch::FlowMeta& head = b.meta[k];
-    if (head.transition_special) {
-      const bool handled = handle_transition_flow(
-          flows[begin + k], head.src_sw, head.dst_sw, b.packets[k]);
-      (void)handled;
-      assert(handled && "transition window cannot close mid-batch");
-      ++k;
-      continue;
-    }
-
-    std::size_t run_end = k + 1;
-    while (run_end < n && b.meta[run_end].src_sw == head.src_sw &&
-           !b.meta[run_end].transition_special) {
-      ++run_end;
-    }
-    EdgeSwitch& sw = *switches_[head.src_sw.value()];
-    b.decisions.clear();
-    b.installs.clear();
-    sw.decide_batch(
-        std::span<const net::Packet>(b.packets.data() + k, run_end - k),
-        config_.mode, b.decisions);
-
-    const bool bounded = sw.flow_table().capacity() != 0;
-    for (std::size_t r = k; r < run_end; ++r) {
-      const workload::Flow& flow = flows[begin + r];
-      const BatchScratch::FlowMeta& m = b.meta[r];
-      const net::Packet& pkt = b.packets[r];
-
-      bool stale = false;
-      for (const openflow::Match& match : b.installs) {
-        if (bounded || match.matches(pkt)) {
-          stale = true;
-          break;
-        }
-      }
-
-      DecisionView view;
-      EdgeSwitch::Decision fresh;
-      if (stale) {
-        fresh = sw.decide(pkt, flow.start, config_.mode);
-        view = DecisionView{fresh.kind, fresh.candidates};
-      } else {
-        const EdgeSwitch::BatchDecision& d = b.decisions[r - k];
-        view = DecisionView{d.kind, b.decisions.candidates(d)};
-      }
-      if (config_.mode == ControlMode::kOpenFlow) {
-        process_openflow_decision(flow, m.src_sw, m.dst_sw, pkt, view);
-      } else {
-        process_lazyctrl_decision(flow, m.src_sw, m.dst_sw, pkt, view);
-      }
-    }
-    k = run_end;
-  }
-  active_batch_ = nullptr;
-}
-
-void Network::handle_flow_openflow(const workload::Flow& flow,
-                                   SwitchId src_sw, SwitchId dst_sw,
-                                   const net::Packet& pkt) {
-  EdgeSwitch::Decision d =
-      switches_[src_sw.value()]->decide(pkt, flow.start,
-                                        ControlMode::kOpenFlow);
-  process_openflow_decision(flow, src_sw, dst_sw, pkt,
-                            DecisionView{d.kind, d.candidates});
 }
 
 void Network::process_openflow_decision(const workload::Flow& flow,
                                         SwitchId src_sw, SwitchId dst_sw,
                                         const net::Packet& pkt,
-                                        const DecisionView& d) {
+                                        const EdgeSwitch::Decision& d) {
   const SimDuration steady = path_delays().steady(src_sw, dst_sw);
 
   if (d.kind == EdgeSwitch::DecisionKind::kFlowTableHit) {
@@ -734,25 +629,10 @@ bool Network::handle_transition_flow(const workload::Flow& flow,
   return true;
 }
 
-void Network::handle_flow_lazyctrl(const workload::Flow& flow,
-                                   SwitchId src_sw, SwitchId dst_sw,
-                                   const net::Packet& pkt) {
-  // Grouping transition window (appendix B preload).
-  if (handle_transition_flow(flow, src_sw, dst_sw, pkt)) {
-    return;
-  }
-
-  EdgeSwitch::Decision d =
-      switches_[src_sw.value()]->decide(pkt, flow.start,
-                                        ControlMode::kLazyCtrl);
-  process_lazyctrl_decision(flow, src_sw, dst_sw, pkt,
-                            DecisionView{d.kind, d.candidates});
-}
-
 void Network::process_lazyctrl_decision(const workload::Flow& flow,
                                         SwitchId src_sw, SwitchId dst_sw,
                                         const net::Packet& pkt,
-                                        const DecisionView& d) {
+                                        const EdgeSwitch::Decision& d) {
   RunMetrics& m = *metrics_;
   const PathDelays paths = path_delays();
   const SimDuration steady = paths.steady(src_sw, dst_sw);
@@ -1286,10 +1166,8 @@ void Network::replay(const workload::Trace& trace) {
   }
 
   // Cursor-driven flow injection (sim::schedule_cursor_chain): one
-  // pending event at a time. With flow_batch_size > 1 each event drains a
-  // whole run of consecutive flows through the batched datapath; the
-  // batch is fenced by the next pending control-plane event so results
-  // match single-flow injection exactly.
+  // pending event at a time, each draining a run of consecutive flows
+  // fenced by the next pending control-plane event (flow_cursor_step).
   if (!trace.flows.empty()) {
     sim::schedule_cursor_chain(simulator_, trace.flows.front().start,
                                flow_cursor_step(&trace.flows), &cursor_);
@@ -1301,31 +1179,26 @@ void Network::replay(const workload::Trace& trace) {
 
 sim::CursorStep Network::flow_cursor_step(
     const std::vector<workload::Flow>* flows) {
-  const std::size_t batch_size = config_.batching.flow_batch_size;
-  if (batch_size <= 1) {
-    return [this, flows](std::size_t i)
-        -> std::optional<std::pair<std::size_t, SimTime>> {
-      on_flow((*flows)[i]);
-      if (i + 1 >= flows->size()) return std::nullopt;
-      return {{i + 1, (*flows)[i + 1].start}};
-    };
-  }
-  if (!batch_) batch_ = std::make_unique<BatchScratch>();
-  return [this, flows, batch_size](std::size_t i)
-      -> std::optional<std::pair<std::size_t, SimTime>> {
+  return [this, flows](std::size_t i)
+             -> std::optional<std::pair<std::size_t, SimTime>> {
     // The event for flow i has already fired, so i is always safe to
-    // process. Later flows join the batch only while they start
-    // strictly before the next pending event: at a timestamp tie the
-    // sequential datapath would run that event first.
-    const SimTime fence = simulator_.next_event_time();
-    const std::size_t cap = std::min(flows->size(), i + batch_size);
-    std::size_t batch_end = i + 1;
-    while (batch_end < cap && (*flows)[batch_end].start < fence) {
-      ++batch_end;
-    }
-    on_flow_batch(*flows, i, batch_end);
-    if (batch_end >= flows->size()) return std::nullopt;
-    return {{batch_end, (*flows)[batch_end].start}};
+    // process. Later flows join its run only while they start strictly
+    // before the next pending event (at a timestamp tie, one event per
+    // flow would run that event first) and within the horizon (their own
+    // events would never fire), so the run matches one event per flow
+    // exactly while scheduling a single event.
+    const SimTime fence =
+        std::min(simulator_.next_event_time(), horizon_ + 1);
+    obs::ScopedTimer timer(obs::TraceEventType::kReplaySpan,
+                           (*flows)[i].start, 0, i);
+    std::size_t end = i;
+    do {
+      on_flow((*flows)[end]);
+      ++end;
+    } while (end < flows->size() && (*flows)[end].start < fence);
+    timer.args(end - i, i);
+    if (end >= flows->size()) return std::nullopt;
+    return {{end, (*flows)[end].start}};
   };
 }
 

@@ -31,7 +31,7 @@
 #include "dgm/maintainer.h"
 #include "dgm/traffic_monitor.h"
 #include "graph/weighted_graph.h"
-#include "net/packet_batch.h"
+#include "net/packet.h"
 #include "openflow/flow_table.h"
 #include "sim/simulator.h"
 #include "topo/topology.h"
@@ -99,10 +99,7 @@ class Network : private dgm::GroupingHost {
   SimDuration cold_cache_first_packet(HostId src, HostId dst);
 
   /// Assembles the first data packet of `flow` from its resolved endpoint
-  /// records — the single definition of the flow -> packet mapping. The
-  /// per-flow datapath and the batched assembly both build packets
-  /// through this helper, so their bit-identity contract cannot drift
-  /// field by field.
+  /// records — the single definition of the flow -> packet mapping.
   [[nodiscard]] static net::Packet make_flow_packet(
       const topo::HostInfo& src, const topo::HostInfo& dst,
       const workload::Flow& flow) noexcept;
@@ -176,10 +173,9 @@ class Network : private dgm::GroupingHost {
   }
 
   // --- scenario injection seams (driven by scenario::ScenarioRunner) ---
-  // Everything here commits state between replay batches (scenario
-  // events are ordinary simulator events, fenced exactly like stats
-  // windows and migrations), so scenarios stay bit-deterministic under
-  // the batched datapath.
+  // Everything here commits state between runs of replayed flows
+  // (scenario events are ordinary simulator events, fenced exactly like
+  // stats windows and migrations), so scenarios stay bit-deterministic.
 
   /// Marks tenants whose hosts stay dormant through bootstrap: their
   /// L-FIB/C-LIB records are not disseminated and their MACs are
@@ -282,19 +278,12 @@ class Network : private dgm::GroupingHost {
     }
   };
   /// The ONE definition of the data-plane path delays every flow-handling
-  /// site (per-flow, batched, cold cache) prices from.
+  /// site (replay, cold cache) prices from.
   [[nodiscard]] PathDelays path_delays() const noexcept {
     const LatencyModel& lat = config_.latency;
     return {2 * lat.host_link + lat.switch_processing,
             2 * lat.host_link + 2 * lat.switch_processing + lat.datapath};
   }
-
-  /// A forwarding decision seen by the shared processing code: either a
-  /// single decide() result or one slot of a DecisionBatch.
-  struct DecisionView {
-    EdgeSwitch::DecisionKind kind;
-    std::span<const SwitchId> candidates;  ///< kIntraGroup only
-  };
 
   /// Why a flow needs the central controller. The decision processors
   /// classify; finish_controller_flow() executes (round trip, reactive
@@ -319,36 +308,27 @@ class Network : private dgm::GroupingHost {
   /// horizon is reached (end of replay() and resume_replay()).
   void end_replay();
 
-  /// The flow-injection cursor step of the single-threaded replay
-  /// (per-flow or batched, per config.batching.flow_batch_size). Shared
-  /// by replay() and the checkpoint-resume path so both drive the exact
-  /// same datapath. `flows` must outlive the chain.
+  /// The flow-injection cursor step: one simulator event handles the run
+  /// of consecutive flows that start before the next pending event (or
+  /// past the horizon), each through on_flow(). Shared by replay() and
+  /// the checkpoint-resume path so both drive the exact same datapath.
+  /// `flows` must outlive the chain.
   [[nodiscard]] sim::CursorStep flow_cursor_step(
       const std::vector<workload::Flow>* flows);
 
+  /// The one decision path of a trace flow: EdgeSwitch::decide (Fig. 5)
+  /// at the ingress switch, then the mode's decision processor.
   void on_flow(const workload::Flow& flow);
-  /// Batched datapath: handles trace flows [begin, end) inside ONE
-  /// simulator event. Per-switch decide_batch runs precompute decisions;
-  /// handling then replays them in global flow order (the controller
-  /// queue is order-sensitive), re-deciding the rare packet whose switch
-  /// installed a matching rule earlier in the same batch. Produces
-  /// decisions and metrics identical to per-flow on_flow() calls.
-  void on_flow_batch(const std::vector<workload::Flow>& flows,
-                     std::size_t begin, std::size_t end);
-  void handle_flow_lazyctrl(const workload::Flow& flow, SwitchId src_sw,
-                            SwitchId dst_sw, const net::Packet& pkt);
-  void handle_flow_openflow(const workload::Flow& flow, SwitchId src_sw,
-                            SwitchId dst_sw, const net::Packet& pkt);
   /// The appendix-B transition-window pre-decide path. Returns true when
   /// the flow was fully handled (preload hit or transition punt).
   bool handle_transition_flow(const workload::Flow& flow, SwitchId src_sw,
                               SwitchId dst_sw, const net::Packet& pkt);
   void process_openflow_decision(const workload::Flow& flow, SwitchId src_sw,
                                  SwitchId dst_sw, const net::Packet& pkt,
-                                 const DecisionView& d);
+                                 const EdgeSwitch::Decision& d);
   void process_lazyctrl_decision(const workload::Flow& flow, SwitchId src_sw,
                                  SwitchId dst_sw, const net::Packet& pkt,
-                                 const DecisionView& d);
+                                 const EdgeSwitch::Decision& d);
   /// Executes the controller path for a `reason`-classified flow:
   /// PacketIn round trip, reactive rule install, metric accounting.
   void finish_controller_flow(const workload::Flow& flow, SwitchId src_sw,
@@ -485,32 +465,10 @@ class Network : private dgm::GroupingHost {
   /// read by the snapshot codec to classify pending periodic events.
   ReplayTimers replay_timers_;
 
-  /// Live position of the flow-injection cursor chain (per-flow and
-  /// batched replays both publish through it), so a snapshot
+  /// Live position of the flow-injection cursor chain, so a snapshot
   /// can describe — and a restore re-create — the chain's single pending
   /// event.
   sim::CursorTracker cursor_;
-
-  /// Reusable zero-allocation working set of the batched datapath
-  /// (allocated once when replay() runs with flow_batch_size > 1).
-  struct BatchScratch {
-    struct FlowMeta {
-      SwitchId src_sw;
-      SwitchId dst_sw;
-      bool transition_special = false;  ///< handled without a decide()
-    };
-    net::PacketBatch packets;    ///< one packet per batch flow
-    std::vector<FlowMeta> meta;  ///< parallel to `packets`
-    EdgeSwitch::DecisionBatch decisions;  ///< one same-switch run at a time
-    /// Rules installed while handling the current run: any later packet of
-    /// the run matching one is re-decided (its precomputed decision is
-    /// stale), mirroring the sequential install/decide interleaving.
-    std::vector<openflow::Match> installs;
-  };
-  std::unique_ptr<BatchScratch> batch_;
-  /// Non-null while on_flow_batch() handles decisions: install_reactive_rule
-  /// records installs here for the staleness check.
-  BatchScratch* active_batch_ = nullptr;
 
   /// Bumped by every apply_grouping() (the `grouping.epoch` stat).
   std::uint64_t grouping_epoch_ = 0;

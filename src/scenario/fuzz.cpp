@@ -107,7 +107,6 @@ ScenarioSpec generate_scenario(std::uint64_t seed, const FuzzOptions& opt) {
   s.config.fib.bloom_hashes = pick<std::size_t>(rng, {4, 8});
   s.config.rules.rule_ttl =
       pick(rng, {30 * kSecond, 60 * kSecond, 5 * kMinute});
-  s.config.batching.flow_batch_size = rng.next_bool(0.5) ? 64 : 1;
   // Unreliable control plane: moderate chance of a lossy / bounded run
   // from the start (events below can also flip the knobs mid-run).
   if (rng.next_bool(0.3)) {

@@ -6,8 +6,7 @@
 // to the trace BEFORE replay so the flow schedule itself is part of the
 // deterministic input), constructs a core::Network, schedules the event
 // script into the discrete-event simulator through the Network's
-// scenario seams, and replays — per-flow or batched, whichever
-// `batching.flow_batch_size` selects.
+// scenario seams, and replays.
 //
 // Determinism contract: every scenario event commits its state as an
 // ordinary simulator event, fenced by Simulator::next_event_time()

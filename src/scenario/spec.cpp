@@ -254,6 +254,16 @@ bool set_config_key(ScenarioSpec& spec, const std::string& key,
     }
     return true;
   };
+  // Periods of timers that re-arm themselves: 0 would re-fire at the same
+  // instant forever, so it is rejected here rather than hanging a run.
+  const auto positive_dur = [&](SimDuration* target) {
+    if (!dur(target)) return false;
+    if (*target <= 0) {
+      *err = key + " must be positive";
+      return false;
+    }
+    return true;
+  };
   const auto u64 = [&](auto* target) {
     std::uint64_t v = 0;
     if (!parse_u64(value, &v)) {
@@ -298,12 +308,12 @@ bool set_config_key(ScenarioSpec& spec, const std::string& key,
     return true;
   }
   if (key == "failover") return boolean(&c.failover_enabled);
-  if (key == "keepalive_period") return dur(&c.keepalive_period);
+  if (key == "keepalive_period") return positive_dur(&c.keepalive_period);
   if (key == "keepalive_loss_threshold") {
     return u64(&c.keepalive_loss_threshold);
   }
   if (key == "switch_reboot_delay") return dur(&c.switch_reboot_delay);
-  if (key == "state_report_period") return dur(&c.state_report_period);
+  if (key == "state_report_period") return positive_dur(&c.state_report_period);
   if (key == "controller.servers") {
     if (!u64(&c.controller.servers)) return false;
     if (c.controller.servers == 0) {
@@ -364,14 +374,7 @@ bool set_config_key(ScenarioSpec& spec, const std::string& key,
     return f64(&c.grouping.workload_growth_trigger);
   }
   if (key == "min_update_interval") return dur(&c.grouping.min_update_interval);
-  if (key == "stats_window") {
-    if (!dur(&c.grouping.stats_window)) return false;
-    if (c.grouping.stats_window <= 0) {
-      *err = "stats_window must be positive";
-      return false;
-    }
-    return true;
-  }
+  if (key == "stats_window") return positive_dur(&c.grouping.stats_window);
   if (key == "intensity_ewma_decay") {
     return f64(&c.grouping.intensity_ewma_decay);
   }
@@ -402,7 +405,9 @@ bool set_config_key(ScenarioSpec& spec, const std::string& key,
     }
     return true;
   }
-  if (key == "dgm.maintenance_period") return dur(&c.dgm.maintenance_period);
+  if (key == "dgm.maintenance_period") {
+    return positive_dur(&c.dgm.maintenance_period);
+  }
   if (key == "dgm.inter_fraction_limit") {
     return f64(&c.dgm.inter_fraction_limit);
   }
@@ -452,10 +457,6 @@ bool set_config_key(ScenarioSpec& spec, const std::string& key,
   if (key == "rules.rule_ttl") return dur(&c.rules.rule_ttl);
   if (key == "rules.flow_table_capacity") {
     return u64(&c.rules.flow_table_capacity);
-  }
-  // batching
-  if (key == "batching.flow_batch_size") {
-    return u64(&c.batching.flow_batch_size);
   }
   *err = "unknown [config] key '" + key + "'";
   return false;
@@ -991,7 +992,6 @@ std::string serialize_scenario(const ScenarioSpec& spec) {
   out << "rules.rule_ttl = " << format_duration(c.rules.rule_ttl) << "\n";
   out << "rules.flow_table_capacity = " << c.rules.flow_table_capacity
       << "\n";
-  out << "batching.flow_batch_size = " << c.batching.flow_batch_size << "\n";
   out << "controller.servers = " << c.controller.servers << "\n";
   out << "ctrl.loss_rate = " << fmt_double(c.controller.loss_rate) << "\n";
   out << "ctrl.dup_rate = " << fmt_double(c.controller.dup_rate) << "\n";

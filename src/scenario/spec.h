@@ -194,7 +194,7 @@ struct ParseResult {
 [[nodiscard]] std::string serialize_scenario(const ScenarioSpec& spec);
 
 /// Applies one `section.key=value` assignment (e.g.
-/// "config.batching.flow_batch_size=1", "workload.flows=500",
+/// "config.fib.layout=linear", "workload.flows=500",
 /// "scenario.seed=9") through the same key grammar as the parser.
 /// Returns false and sets `*error` on an unknown key or malformed value.
 bool apply_override(ScenarioSpec& spec, const std::string& assignment,

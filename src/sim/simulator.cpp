@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <memory>
+#include <stdexcept>
 
 #include "common/log.h"
 
@@ -17,7 +18,12 @@ EventId Simulator::schedule_at(SimTime t, Callback cb) {
 }
 
 EventId Simulator::schedule_periodic(SimDuration period, Callback cb) {
-  assert(period > 0 && cb);
+  assert(cb);
+  // Checked in every build: a period of 0 would re-fire at the same
+  // instant forever and hang the run instead of failing it.
+  if (period <= 0) {
+    throw std::invalid_argument("schedule_periodic: period must be positive");
+  }
   const EventId id = next_id_++;
   periodics_.emplace(id, Periodic{period, std::move(cb)});
   queue_.push(Event{now_ + period, next_seq_++, id});
@@ -33,7 +39,7 @@ void Simulator::cancel(EventId id) {
 void Simulator::dispatch(const Event& e) {
   now_ = e.time;
   // Publish the clock for log-line t= timestamps (one relaxed store per
-  // dispatched event; flow batches amortize it across the whole batch).
+  // dispatched event; a run of flows handled in one event shares it).
   set_log_sim_time(now_);
   if (cancelled_.erase(e.id) > 0) return;
 

@@ -48,7 +48,8 @@ class Simulator {
   }
 
   /// Schedules `cb` every `period`, first firing at now + period.
-  /// The returned id cancels the whole series.
+  /// The returned id cancels the whole series. Throws
+  /// `std::invalid_argument` unless `period > 0`.
   EventId schedule_periodic(SimDuration period, Callback cb);
 
   /// Cancels a pending (or periodic) event. Cancelling an already-fired
@@ -67,10 +68,10 @@ class Simulator {
 
   /// Timestamp of the next live (non-cancelled) event, or `kNoPendingEvent`
   /// when the queue is empty. Cancelled carcasses at the head are drained
-  /// lazily. The batched datapath uses this as its safety fence: a flow
-  /// batch may only extend while every flow in it starts strictly before
-  /// the next scheduled event, which keeps batched runs bit-identical to
-  /// single-event-per-flow runs.
+  /// lazily. The replay flow cursor uses this as its safety fence: a run
+  /// of flows handled in one event may only extend while every flow in it
+  /// starts strictly before the next scheduled event, which keeps replay
+  /// bit-identical to one event per flow.
   static constexpr SimTime kNoPendingEvent =
       std::numeric_limits<SimTime>::max();
   [[nodiscard]] SimTime next_event_time();
@@ -170,7 +171,7 @@ struct CursorTracker {
 
 /// Schedules a self-continuing one-event-at-a-time cursor chain starting
 /// with cursor 0 at `first_at`. This owns the lifetime-sensitive pattern
-/// shared by the replay flow injectors (per-flow and batched):
+/// of the replay flow injector (fresh and checkpoint-resumed):
 /// the stored continuation holds only a weak self-reference — a strong
 /// one would form a shared_ptr cycle and leak it after every replay —
 /// while each scheduled event captures a strong reference, which is what

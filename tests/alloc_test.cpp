@@ -96,8 +96,8 @@ TEST_P(DatapathAllocTest, DecideBatchSteadyStateIsAllocationFree) {
   std::vector<net::Packet> batch(64, p);
   EdgeSwitch::DecisionBatch out;
 
-  // Mixed outcomes: local delivery, intra-group candidates (with repeated
-  // destinations sharing memo hits), and provable misses -> bulk punt.
+  // Mixed outcomes: local delivery, intra-group candidates and provable
+  // misses -> controller.
   std::uint32_t dst = 0;
   auto run_batch = [&] {
     for (auto& bp : batch) {

@@ -162,7 +162,7 @@ TEST(CkptTest, ExtraCheckpointsResumeBitIdentically) {
 TEST_P(CkptMatrixTest, ExtraCheckpointFencesAreMetricsNeutral) {
   // lazyctrl_run --checkpoint-every relies on this: a run with extra
   // snapshot fences must finish with RunMetrics bit-identical to the
-  // plain run (the fences shift simulator event ids and batch windows,
+  // plain run (the fences shift simulator event ids and flow-run bounds,
   // neither of which may affect any recorded metric).
   const auto spec = parse_or_die(spec_text(GetParam()));
   ScenarioRunner plain(spec);

@@ -1,9 +1,7 @@
-// Tests for the packet model: encapsulation, ARP helpers, and the
-// batch staging storage of the batched datapath.
+// Tests for the packet model: encapsulation and ARP helpers.
 #include <gtest/gtest.h>
 
 #include "net/packet.h"
-#include "net/packet_batch.h"
 
 namespace lazyctrl::net {
 namespace {
@@ -66,27 +64,6 @@ TEST(PacketTest, ArpReplyShape) {
   EXPECT_EQ(p.kind, PacketKind::kArpReply);
   EXPECT_EQ(p.src_mac, MacAddress::for_host(9));
   EXPECT_EQ(p.dst_mac, MacAddress::for_host(3));
-}
-
-// --- batch staging storage for the batched hot path ---
-
-TEST(PacketBatchTest, ClearKeepsCapacity) {
-  PacketBatch batch(/*reserve_packets=*/8);
-  Packet p;
-  for (std::uint64_t i = 0; i < 8; ++i) {
-    p.flow_id = i;
-    batch.emplace_back(p);
-  }
-  EXPECT_EQ(batch.size(), 8u);
-  EXPECT_EQ(batch[3].flow_id, 3u);
-  const std::size_t cap = batch.capacity();
-  const Packet* data = batch.data();
-  batch.clear();
-  EXPECT_TRUE(batch.empty());
-  EXPECT_EQ(batch.capacity(), cap);
-  // Refilling within capacity reuses the same storage (no reallocation).
-  batch.emplace_back(p);
-  EXPECT_EQ(batch.data(), data);
 }
 
 }  // namespace

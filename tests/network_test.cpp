@@ -1,6 +1,10 @@
 // Integration tests: the full Network façade in both control modes.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+#include <utility>
+
 #include "common/rng.h"
 #include "core/network.h"
 #include "topo/builder.h"
@@ -386,90 +390,144 @@ TEST(NetworkTest, DeterministicReplay) {
             b.metrics().grouping_update_count);
 }
 
-// The core guarantee of the batched datapath: batched and single-packet
-// replay must produce IDENTICAL forwarding decisions and metrics — the
-// batch fence (Simulator::next_event_time) and the in-batch install
-// staleness check exist exactly for this.
-void expect_identical_metrics(const RunMetrics& a, const RunMetrics& b) {
-  EXPECT_EQ(a.flows_seen, b.flows_seen);
-  EXPECT_EQ(a.packets_accounted, b.packets_accounted);
-  EXPECT_EQ(a.controller_packet_ins, b.controller_packet_ins);
-  EXPECT_EQ(a.flows_local_delivery, b.flows_local_delivery);
-  EXPECT_EQ(a.flows_intra_group, b.flows_intra_group);
-  EXPECT_EQ(a.flows_inter_group, b.flows_inter_group);
-  EXPECT_EQ(a.flows_flow_table_hit, b.flows_flow_table_hit);
-  EXPECT_EQ(a.bf_false_positive_copies, b.bf_false_positive_copies);
-  EXPECT_EQ(a.grouping_update_count, b.grouping_update_count);
-  EXPECT_EQ(a.transition_punts, b.transition_punts);
-  EXPECT_DOUBLE_EQ(a.first_packet_latency_ms.mean(),
-                   b.first_packet_latency_ms.mean());
-  EXPECT_DOUBLE_EQ(a.controller_queue_delay_ms.mean(),
-                   b.controller_queue_delay_ms.mean());
+TEST(NetworkTest, ZeroTimerPeriodFailsInsteadOfHanging) {
+  // Each period re-arms a periodic timer; at 0 it would re-fire at the
+  // same instant forever. A C++-built Config reaches the timers without
+  // the scenario parser's checks, so the simulator must reject it.
+  auto topo = test_topology(29);
+  auto trace = test_trace(topo, 500, 30);
+  const auto history = workload::build_intensity_graph(trace, topo);
+  const std::pair<const char*, void (*)(Config&)> cases[] = {
+      {"state_report_period", [](Config& c) { c.state_report_period = 0; }},
+      {"grouping.stats_window",
+       [](Config& c) { c.grouping.stats_window = 0; }},
+      {"dgm.maintenance_period",
+       [](Config& c) {
+         c.dgm.mode = DgmMode::kPeriodic;
+         c.dgm.maintenance_period = 0;
+       }},
+      {"keepalive_period",
+       [](Config& c) {
+         c.failover_enabled = true;
+         c.keepalive_period = 0;
+       }},
+  };
+  for (const auto& [name, zero] : cases) {
+    SCOPED_TRACE(name);
+    Config cfg = lazy_config(6);
+    zero(cfg);
+    EXPECT_THROW(
+        {
+          Network net(topo, cfg);
+          net.bootstrap(history);
+          net.replay(trace);
+        },
+        std::invalid_argument);
+  }
 }
 
-TEST(NetworkBatchTest, BatchedReplayIdenticalToSinglePacket) {
+// Fence oracle for the flow cursor: one simulator event handles a run of
+// flows that start before the next pending event. A no-op event at every
+// flow's start ends each run at a single timestamp, so the fenced replay
+// is the one-flow-per-event reference; the plain replay must match it
+// bit for bit. Each no-op also checks that the runs before it stopped at
+// its timestamp: exactly the flows that start earlier have been handled.
+RunMetrics fenced_replay(Network& net, const workload::Trace& trace,
+                         bool fence_every_flow) {
+  std::size_t misplaced = 0;
+  if (fence_every_flow) {
+    std::size_t earlier = 0;  // first flow sharing flows[k]'s start
+    for (std::size_t k = 0; k < trace.flows.size(); ++k) {
+      if (trace.flows[k].start != trace.flows[earlier].start) earlier = k;
+      net.simulator().schedule_at(
+          trace.flows[k].start, [&net, &misplaced, earlier] {
+            if (net.metrics().flows_seen != earlier) ++misplaced;
+          });
+    }
+  }
+  net.replay(trace);
+  EXPECT_EQ(misplaced, 0u) << "a run of flows crossed a pending event";
+  return net.metrics();
+}
+
+TEST(NetworkFenceTest, LazyCtrlRunsMatchOneFlowPerEvent) {
   auto topo = test_topology(21);
   auto trace = test_trace(topo, 8000, 22);
   const auto history = workload::build_intensity_graph(trace, topo);
 
+  // Static grouping has no IncUpdate events, so its runs are the longest.
   for (const bool dynamic : {false, true}) {
-    Config single_cfg = lazy_config(6);
-    single_cfg.grouping.dynamic_regrouping = dynamic;
-    single_cfg.batching.flow_batch_size = 1;
-    Config batched_cfg = single_cfg;
-    batched_cfg.batching.flow_batch_size = 64;
-
-    Network single(topo, single_cfg);
-    single.bootstrap(history);
-    single.replay(trace);
-    Network batched(topo, batched_cfg);
-    batched.bootstrap(history);
-    batched.replay(trace);
-    expect_identical_metrics(single.metrics(), batched.metrics());
+    SCOPED_TRACE(dynamic ? "dynamic regrouping" : "static grouping");
+    std::optional<RunMetrics> metrics[2];
+    for (const bool fenced : {false, true}) {
+      Config cfg = lazy_config(6);
+      cfg.grouping.dynamic_regrouping = dynamic;
+      Network net(topo, cfg);
+      net.bootstrap(history);
+      metrics[fenced].emplace(fenced_replay(net, trace, fenced));
+      if (!dynamic) EXPECT_EQ(net.metrics().grouping_update_count, 0u);
+    }
+    EXPECT_TRUE(metrics[0]->identical_to(*metrics[1]))
+        << metrics[0]->diff_report(*metrics[1]);
   }
 }
 
-TEST(NetworkBatchTest, BatchedOpenFlowIdenticalToSinglePacket) {
-  auto topo = test_topology(23);
-  auto trace = test_trace(topo, 8000, 24);
-
-  Config single_cfg = openflow_config();
-  single_cfg.batching.flow_batch_size = 1;
-  Config batched_cfg = single_cfg;
-  batched_cfg.batching.flow_batch_size = 32;
-
-  Network single(topo, single_cfg);
-  single.bootstrap();
-  single.replay(trace);
-  Network batched(topo, batched_cfg);
-  batched.bootstrap();
-  batched.replay(trace);
-  expect_identical_metrics(single.metrics(), batched.metrics());
-}
-
-TEST(NetworkBatchTest, BatchedReplayIdenticalUnderDgmAndMigration) {
-  // The stress case for the batch fence: DGM maintenance events, stats
-  // windows and a mid-replay migration all interleave with flow batches.
+TEST(NetworkFenceTest, DgmAndMigrationRunsMatchOneFlowPerEvent) {
+  // The stress case for the fence: DGM maintenance events, stats windows
+  // and a mid-replay migration all interleave with runs of flows.
   auto topo = test_topology(25);
   auto trace = test_trace(topo, 8000, 26);
   const auto history = workload::build_intensity_graph(trace, topo);
   const HostId moved = topo.hosts()[0].id;
 
-  auto run = [&](std::size_t batch) {
+  std::optional<RunMetrics> metrics[2];
+  for (const bool fenced : {false, true}) {
     Config cfg = lazy_config(6);
     cfg.dgm.mode = DgmMode::kPeriodic;
     cfg.dgm.maintenance_period = 10 * kMinute;
-    cfg.batching.flow_batch_size = batch;
     Network net(topo, cfg);
     net.bootstrap(history);
     net.schedule_migration(moved, SwitchId{5}, kHour);
-    net.replay(trace);
-    return net.metrics();
-  };
+    metrics[fenced].emplace(fenced_replay(net, trace, fenced));
+    EXPECT_GT(net.dgm_stats()->rounds, 0u);
+  }
+  EXPECT_TRUE(metrics[0]->identical_to(*metrics[1]))
+      << metrics[0]->diff_report(*metrics[1]);
+}
 
-  const RunMetrics single = run(1);
-  const RunMetrics batched = run(64);
-  expect_identical_metrics(single, batched);
+TEST(NetworkFenceTest, OpenFlowRunsMatchOneFlowPerEvent) {
+  auto topo = test_topology(23);
+  auto trace = test_trace(topo, 8000, 24);
+
+  std::optional<RunMetrics> metrics[2];
+  for (const bool fenced : {false, true}) {
+    Network net(topo, openflow_config());
+    net.bootstrap();
+    metrics[fenced].emplace(fenced_replay(net, trace, fenced));
+  }
+  EXPECT_TRUE(metrics[0]->identical_to(*metrics[1]))
+      << metrics[0]->diff_report(*metrics[1]);
+}
+
+TEST(NetworkFenceTest, FlowsPastTheHorizonAreNotReplayed) {
+  // A run never reaches past the horizon: those flows' own events would
+  // never fire, so no run may pick them up either.
+  auto topo = test_topology(27);
+  auto trace = test_trace(topo, 2000, 28);
+  const std::size_t in_horizon = trace.flows.size();
+  workload::Flow late = trace.flows.back();
+  for (int k = 1; k <= 3; ++k) {
+    late.start = trace.horizon + k * kSecond;
+    trace.flows.push_back(late);
+  }
+  // No timer fires between the last in-horizon flow and the late ones.
+  Config cfg = lazy_config(6);
+  cfg.grouping.stats_window = 10 * kHour;
+  cfg.state_report_period = 10 * kHour;
+  Network net(topo, cfg);
+  net.bootstrap();
+  net.replay(trace);
+  EXPECT_EQ(net.metrics().flows_seen, in_horizon);
 }
 
 }  // namespace

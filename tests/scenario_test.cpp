@@ -43,7 +43,7 @@ group_size_limit = 6
 stats_window = 30s
 dgm.mode = periodic
 dgm.maintenance_period = 5m
-batching.flow_batch_size = 16
+rules.flow_table_capacity = 16
 fib.layout = linear
 rules.rule_ttl = 90s
 failover = true
@@ -86,7 +86,7 @@ TEST(ScenarioSpecTest, ParsesFullSpec) {
   EXPECT_EQ(s.config.grouping.group_size_limit, 6u);
   EXPECT_EQ(s.config.grouping.stats_window, 30 * kSecond);
   EXPECT_EQ(s.config.dgm.mode, core::DgmMode::kPeriodic);
-  EXPECT_EQ(s.config.batching.flow_batch_size, 16u);
+  EXPECT_EQ(s.config.rules.flow_table_capacity, 16u);
   EXPECT_EQ(s.config.fib.layout, core::GFibLayout::kLinear);
   EXPECT_EQ(s.config.rules.rule_ttl, 90 * kSecond);
   EXPECT_TRUE(s.config.failover_enabled);
@@ -139,17 +139,19 @@ TEST(ScenarioSpecTest, RejectsMalformedControlFaultParameters) {
 }
 
 TEST(ScenarioSpecTest, UnknownKeyReportsLineNumber) {
-  // The sharded replay runtime and its keys are gone: a spec still naming
-  // one gets the same line-numbered diagnosis as any unknown key.
+  // The sharded replay runtime and the flow batch size are gone: a spec
+  // still naming one of their keys gets the same line-numbered diagnosis
+  // as any unknown key.
   const std::string text =
       "[scenario]\n"      // line 1
       "name = x\n"        // line 2
       "[config]\n"        // line 3
       "mode = lazyctrl\n" // line 4
       "no_such_knob = 1\n"  // line 5
-      "runtime.num_shards = 2\n";  // line 6
+      "runtime.num_shards = 2\n"  // line 6
+      "batching.flow_batch_size = 64\n";  // line 7
   const ParseResult r = parse_scenario(text);
-  ASSERT_EQ(r.errors.size(), 2u) << r.error_text();
+  ASSERT_EQ(r.errors.size(), 3u) << r.error_text();
   EXPECT_EQ(r.errors[0].line, 5);
   EXPECT_NE(r.errors[0].message.find("no_such_knob"), std::string::npos);
   EXPECT_EQ(r.errors[1].line, 6);
@@ -157,6 +159,43 @@ TEST(ScenarioSpecTest, UnknownKeyReportsLineNumber) {
                                      "'runtime.num_shards'"),
             std::string::npos)
       << r.errors[1].message;
+  EXPECT_EQ(r.errors[2].line, 7);
+  EXPECT_NE(r.errors[2].message.find("unknown [config] key "
+                                     "'batching.flow_batch_size'"),
+            std::string::npos)
+      << r.errors[2].message;
+}
+
+// A zero timer period would re-arm at the same instant forever and hang
+// the run, so each periodic key rejects it with a line-numbered error.
+void expect_zero_period_rejected(const std::string& config_lines,
+                                 const std::string& key, int line) {
+  const ParseResult r = parse_scenario("[config]\n" + config_lines);
+  ASSERT_EQ(r.errors.size(), 1u) << r.error_text();
+  EXPECT_EQ(r.errors[0].line, line);
+  EXPECT_NE(r.errors[0].message.find(key + " must be positive"),
+            std::string::npos)
+      << r.errors[0].message;
+  ScenarioSpec spec;
+  std::string err;
+  EXPECT_FALSE(apply_override(spec, "config." + key + "=0s", &err));
+  EXPECT_NE(err.find(key + " must be positive"), std::string::npos) << err;
+}
+
+TEST(ScenarioSpecTest, RejectsZeroStateReportPeriod) {
+  expect_zero_period_rejected("state_report_period = 0s\n",
+                              "state_report_period", 2);
+}
+
+TEST(ScenarioSpecTest, RejectsZeroKeepalivePeriod) {
+  expect_zero_period_rejected("failover = true\nkeepalive_period = 0s\n",
+                              "keepalive_period", 3);
+}
+
+TEST(ScenarioSpecTest, RejectsZeroDgmMaintenancePeriod) {
+  expect_zero_period_rejected(
+      "dgm.mode = periodic\ndgm.maintenance_period = 0s\n",
+      "dgm.maintenance_period", 3);
 }
 
 TEST(ScenarioSpecTest, CollectsMultipleDiagnostics) {
@@ -287,12 +326,19 @@ TEST(ScenarioSpecTest, KindIrrelevantWorkloadKeysRoundTrip) {
 TEST(ScenarioSpecTest, ApplyOverride) {
   ScenarioSpec spec;
   std::string err;
-  EXPECT_TRUE(apply_override(spec, "config.batching.flow_batch_size=4", &err))
+  EXPECT_TRUE(apply_override(spec, "config.rules.flow_table_capacity=4",
+                             &err))
       << err;
-  EXPECT_EQ(spec.config.batching.flow_batch_size, 4u);
-  // Removed sharded-runtime key: a diagnosed override error.
+  EXPECT_EQ(spec.config.rules.flow_table_capacity, 4u);
+  // Removed keys (sharded runtime, flow batch size): diagnosed override
+  // errors.
   EXPECT_FALSE(apply_override(spec, "config.runtime.num_shards=2", &err));
   EXPECT_NE(err.find("unknown [config] key 'runtime.num_shards'"),
+            std::string::npos)
+      << err;
+  EXPECT_FALSE(
+      apply_override(spec, "config.batching.flow_batch_size=4", &err));
+  EXPECT_NE(err.find("unknown [config] key 'batching.flow_batch_size'"),
             std::string::npos)
       << err;
   EXPECT_TRUE(apply_override(spec, "workload.flows=123", &err)) << err;

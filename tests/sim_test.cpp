@@ -4,6 +4,7 @@
 #include <array>
 #include <memory>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,15 @@ TEST(SimulatorTest, PeriodicFiresRepeatedly) {
   s.run_until(55);
   EXPECT_EQ(fires, 5);  // t = 10,20,30,40,50
   EXPECT_EQ(s.now(), 55);
+}
+
+TEST(SimulatorTest, PeriodicRejectsNonPositivePeriod) {
+  // Checked in release builds too: a zero period would re-fire at the
+  // same instant forever.
+  Simulator s;
+  EXPECT_THROW(s.schedule_periodic(0, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.schedule_periodic(-5, [] {}), std::invalid_argument);
+  EXPECT_EQ(s.pending_events(), 0u);
 }
 
 TEST(SimulatorTest, PeriodicCancelStopsSeries) {

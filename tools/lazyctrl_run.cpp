@@ -5,7 +5,7 @@
 //
 //   --set SECTION.KEY=VALUE  override any spec value through the same key
 //                            grammar as the file (repeatable), e.g.
-//                            --set config.batching.flow_batch_size=1
+//                            --set config.fib.layout=linear
 //                            --set workload.flows=500
 //   --scale F                multiply workload.flows by F (smoke runs)
 //   --reps N                 harness repetitions (default 2); with N >= 2
