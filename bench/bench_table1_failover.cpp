@@ -50,6 +50,7 @@ int body(benchx::BenchReport& report) {
     sim::Simulator s;
     core::FailureWheel wheel(s, members(8), SwitchId{0}, {SwitchId{4}},
                              wheel_config());
+    wheel.claim_events();
     wheel.start();
     s.schedule_at(5 * kSecond, [&] { wheel.fail_control_link(SwitchId{3}); });
     s.run_until(30 * kSecond);
@@ -71,6 +72,7 @@ int body(benchx::BenchReport& report) {
     sim::Simulator s;
     core::FailureWheel wheel(s, members(8), SwitchId{0}, {SwitchId{4}},
                              wheel_config());
+    wheel.claim_events();
     wheel.start();
     s.schedule_at(5 * kSecond,
                   [&] { wheel.fail_peer_link(SwitchId{5}, SwitchId{6}); });
@@ -90,6 +92,7 @@ int body(benchx::BenchReport& report) {
     sim::Simulator s;
     core::FailureWheel wheel(s, members(8), SwitchId{5}, {SwitchId{2}},
                              wheel_config());
+    wheel.claim_events();
     wheel.start();
     s.schedule_at(5 * kSecond,
                   [&] { wheel.fail_peer_link(SwitchId{5}, SwitchId{6}); });
@@ -104,6 +107,7 @@ int body(benchx::BenchReport& report) {
     sim::Simulator s;
     core::FailureWheel wheel(s, members(8), SwitchId{2}, {SwitchId{6}},
                              wheel_config());
+    wheel.claim_events();
     wheel.start();
     s.schedule_at(5 * kSecond, [&] { wheel.fail_switch(SwitchId{2}); });
     s.run_until(60 * kSecond);

@@ -24,6 +24,7 @@ int main() {
   for (std::uint32_t i = 0; i < 10; ++i) members.push_back(SwitchId{i});
   core::FailureWheel wheel(simulator, members, SwitchId{4},
                            {SwitchId{7}, SwitchId{1}}, cfg);
+  wheel.claim_events();
   wheel.start();
 
   std::printf("wheel: 10 switches in a ring, designated S4, backups S7,S1\n");

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <fstream>
+#include <set>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -34,48 +34,6 @@ constexpr std::uint32_t kDgms = fourcc("DGMS");
 constexpr std::uint32_t kRngs = fourcc("RNGS");
 constexpr std::uint32_t kSimu = fourcc("SIMU");
 constexpr std::uint32_t kMetr = fourcc("METR");
-
-// Pending-event descriptor kinds: what a queued (time, seq, id) tuple
-// WAS, so the restorer can re-attach an equivalent callback. Everything
-// that can legally be pending at a scenario-event fence is one of these;
-// anything else fails the save (the in-flight ≡ 0 check).
-enum PendingKind : std::uint8_t {
-  kPendingWindowTimer = 0,     ///< Network::roll_stats_window periodic
-  kPendingReportTimer = 1,     ///< Network::state_report_tick periodic
-  kPendingDgmTimer = 2,        ///< Network::run_dgm_maintenance periodic
-  kPendingReconcileTimer = 3,  ///< Network::reconcile_state periodic
-  kPendingMigration = 4,       ///< payload = pending_migrations_ index
-  kPendingWheelKeepalive = 5,  ///< payload = wheel index
-  kPendingWheelReboot = 6,     ///< payload = wheel index, payload2 = switch
-  kPendingFlowCursor = 7,      ///< payload = flow index (ResumeCursor)
-  kPendingScriptEvent = 8,     ///< payload = spec event index
-  kPendingExtraCheckpoint = 9, ///< payload = extra_checkpoint_times_ index
-};
-constexpr std::uint8_t kPendingKindMax = kPendingExtraCheckpoint;
-
-struct PendingDesc {
-  SimTime time = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t id = 0;
-  bool periodic = false;
-  SimDuration period = 0;
-  std::uint8_t kind = 0;
-  std::uint64_t payload = 0;
-  std::uint32_t payload2 = 0;
-};
-
-[[nodiscard]] bool kind_is_periodic(std::uint8_t kind) noexcept {
-  switch (kind) {
-    case kPendingWindowTimer:
-    case kPendingReportTimer:
-    case kPendingDgmTimer:
-    case kPendingReconcileTimer:
-    case kPendingWheelKeepalive:
-      return true;
-    default:
-      return false;
-  }
-}
 
 }  // namespace
 
@@ -148,70 +106,19 @@ bool StateAccess::save(scenario::ScenarioRunner& runner, std::uint32_t index,
   if (net == nullptr || !net->replayed_) {
     return fail("checkpoint requires a live replay (nothing to snapshot)");
   }
-  // Classify every live pending event. The map covers everything that
-  // may legally be queued at a scenario-event fence; an id outside it is
-  // in-flight work and fails the snapshot.
-  struct Tag {
-    std::uint8_t kind;
-    std::uint64_t payload;
-    std::uint32_t payload2;
-  };
-  std::unordered_map<std::uint64_t, Tag> known;
-  const auto tag = [&](sim::EventId id, std::uint8_t kind,
-                       std::uint64_t payload = 0, std::uint32_t p2 = 0) {
-    if (id != 0) known.emplace(id, Tag{kind, payload, p2});
-  };
-  tag(net->replay_timers_.window, kPendingWindowTimer);
-  tag(net->replay_timers_.report, kPendingReportTimer);
-  tag(net->replay_timers_.dgm, kPendingDgmTimer);
-  tag(net->replay_timers_.reconcile, kPendingReconcileTimer);
-  for (std::size_t i = 0; i < net->pending_migrations_.size(); ++i) {
-    tag(net->pending_migrations_[i].event, kPendingMigration, i);
-  }
-  for (std::size_t wi = 0; wi < net->wheels_.size(); ++wi) {
-    const core::FailureWheel& fw = *net->wheels_[wi];
-    if (fw.running_) tag(fw.timer_, kPendingWheelKeepalive, wi);
-    for (const auto& [id, sw] : fw.pending_reboots_) {
-      tag(id, kPendingWheelReboot, wi, sw.value());
+  // The pending queue travels verbatim: every event the library
+  // schedules is a data record. A closure (scheduled from outside the
+  // library) has no description, so it fails the snapshot.
+  const std::vector<sim::Event> pending = net->simulator_.pending();
+  std::vector<bool> migration_pending(net->pending_migrations_.size());
+  for (const sim::Event& e : pending) {
+    if (e.kind == sim::EventKind::kClosure) {
+      return fail("pending event id " + std::to_string(e.id) + " at t=" +
+                  std::to_string(e.time) +
+                  "ns is a callback scheduled outside the library; a "
+                  "snapshot cannot describe it");
     }
-  }
-  if (net->cursor_.active) {
-    tag(net->cursor_.id, kPendingFlowCursor, net->cursor_.index);
-  }
-  for (std::size_t i = 0; i < runner.script_event_ids_.size(); ++i) {
-    tag(runner.script_event_ids_[i], kPendingScriptEvent, i);
-  }
-  for (std::size_t i = 0; i < runner.extra_event_ids_.size(); ++i) {
-    tag(runner.extra_event_ids_[i], kPendingExtraCheckpoint, i);
-  }
-
-  std::vector<PendingDesc> descs;
-  std::unordered_set<std::uint64_t> pending_ids;
-  for (const sim::Simulator::PendingEvent& p :
-       net->simulator_.pending_snapshot()) {
-    const auto it = known.find(p.id);
-    if (it == known.end()) {
-      return fail("in-flight work at the checkpoint fence: pending event id " +
-                  std::to_string(p.id) + " at t=" + std::to_string(p.time) +
-                  "ns is not a classifiable control event");
-    }
-    pending_ids.insert(p.id);
-    descs.push_back({p.time, p.seq, p.id, p.periodic, p.period,
-                     it->second.kind, it->second.payload,
-                     it->second.payload2});
-  }
-  // A restored-but-not-finished runner has no flow-cursor event in its
-  // queue yet (finish() re-creates the chain); synthesize its descriptor
-  // from the resume cursor so restore(checkpoint(s)) + save_now()
-  // reproduces the snapshot byte for byte.
-  if (runner.restored_ && !runner.ran_ && runner.resume_cursor_.active) {
-    descs.push_back({runner.resume_cursor_.at, runner.resume_cursor_.seq,
-                     runner.resume_cursor_.id, false, 0, kPendingFlowCursor,
-                     runner.resume_cursor_.index, 0});
-    std::sort(descs.begin(), descs.end(),
-              [](const PendingDesc& a, const PendingDesc& b) {
-                return a.time != b.time ? a.time < b.time : a.seq < b.seq;
-              });
+    if (e.kind == sim::EventKind::kMigration) migration_pending[e.a] = true;
   }
 
   Writer w;
@@ -266,17 +173,17 @@ bool StateAccess::save(scenario::ScenarioRunner& runner, std::uint32_t index,
   }
   w.end_section();
 
-  // TOPO: scheduled migrations, each flagged done when its one-shot has
+  // TOPO: scheduled migrations, each flagged done when its record has
   // already fired (the restorer replays done ones onto its fresh
-  // topology copy and re-attaches the rest).
+  // topology copy; the rest are still in the pending queue).
   w.begin_section(kTopo);
   w.u64(net->pending_migrations_.size());
-  for (const core::Network::PendingMigration& m : net->pending_migrations_) {
+  for (std::size_t i = 0; i < net->pending_migrations_.size(); ++i) {
+    const core::Network::PendingMigration& m = net->pending_migrations_[i];
     w.u32(m.host.value());
     w.u32(m.to.value());
     w.i64(m.at);
-    w.u64(m.event);
-    w.boolean(m.event != 0 && !pending_ids.contains(m.event));
+    w.boolean(!migration_pending[i]);
   }
   w.end_section();
 
@@ -400,11 +307,6 @@ bool StateAccess::save(scenario::ScenarioRunner& runner, std::uint32_t index,
       w.u64(k);
       w.i64(v);
     }
-    w.u64(fw.pending_reboots_.size());
-    for (const auto& [id, sw] : fw.pending_reboots_) {
-      w.u64(id);
-      w.u32(sw.value());
-    }
   }
   w.end_section();
 
@@ -470,22 +372,20 @@ bool StateAccess::save(scenario::ScenarioRunner& runner, std::uint32_t index,
   w.u64(net->rng_.state());
   w.end_section();
 
-  // SIMU: clock + allocation counters + the pending descriptor table.
+  // SIMU: clock + allocation counters + the pending records.
   w.begin_section(kSimu);
   w.i64(net->simulator_.now());
   w.u64(net->simulator_.next_seq());
   w.u64(net->simulator_.next_event_id());
   w.u64(net->simulator_.processed_events());
-  w.u64(descs.size());
-  for (const PendingDesc& d : descs) {
-    w.i64(d.time);
-    w.u64(d.seq);
-    w.u64(d.id);
-    w.boolean(d.periodic);
-    w.i64(d.period);
-    w.u8(d.kind);
-    w.u64(d.payload);
-    w.u32(d.payload2);
+  w.u64(pending.size());
+  for (const sim::Event& e : pending) {
+    w.i64(e.time);
+    w.u64(e.seq);
+    w.u64(e.id);
+    w.i64(e.period);
+    w.u8(static_cast<std::uint8_t>(e.kind));
+    w.u64(e.a);
   }
   w.end_section();
 
@@ -573,10 +473,7 @@ std::unique_ptr<scenario::ScenarioRunner> StateAccess::restore_runner(
   runner->counts_.skipped = static_cast<std::size_t>(counts_skipped);
   // ...which the saved fence values (just applied) already include.
 
-  core::Config config = runner->spec_.config;
-  config.seed = runner->spec_.seed;
-  runner->net_ =
-      std::make_unique<core::Network>(runner->topology_, config);
+  runner->make_network();
   core::Network* net = runner->net_.get();
   const std::size_t switch_count = net->switches_.size();
 
@@ -628,15 +525,15 @@ std::unique_ptr<scenario::ScenarioRunner> StateAccess::restore_runner(
   // TOPO: rebuild the migration schedule; replay completed moves onto
   // the network's fresh topology copy in firing order (at, then schedule
   // order — the order the one-shots fired in).
+  std::vector<bool> migration_done;
   r.enter_section(kTopo);
   {
-    const std::uint64_t n = r.count(25);
+    const std::uint64_t n = r.count(17);
     std::vector<std::size_t> done;
     for (std::uint64_t i = 0; i < n; ++i) {
       const std::uint32_t host = r.u32();
       const std::uint32_t to = r.u32();
       const SimTime at = r.i64();
-      const std::uint64_t event = r.u64();
       const bool completed = r.boolean();
       if (r.ok() && (host >= net->topology_.host_count() ||
                      to >= net->topology_.switch_count())) {
@@ -644,8 +541,8 @@ std::unique_ptr<scenario::ScenarioRunner> StateAccess::restore_runner(
                " / switch " + std::to_string(to) + " outside the topology");
         break;
       }
-      net->pending_migrations_.push_back(
-          {HostId{host}, SwitchId{to}, at, event});
+      net->pending_migrations_.push_back({HostId{host}, SwitchId{to}, at});
+      migration_done.push_back(completed);
       if (completed) done.push_back(static_cast<std::size_t>(i));
     }
     std::stable_sort(done.begin(), done.end(),
@@ -773,25 +670,29 @@ std::unique_ptr<scenario::ScenarioRunner> StateAccess::restore_runner(
     }
   }
 
-  // WHEL.
+  // WHEL. Each wheel must ring exactly its group's members (the
+  // network routes wheel records and injections by switch -> group ->
+  // wheel), with its designated switch and backups among them.
   r.enter_section(kWhel);
   {
+    const std::vector<std::vector<SwitchId>> groups =
+        net->controller_.grouping().members();
     const std::uint64_t wn = r.count(8);
+    const std::size_t want = net->config_.failover_enabled ? groups.size() : 0;
+    if (r.ok() && wn != want) {
+      r.fail("snapshot has " + std::to_string(wn) + " failure wheels, the " +
+             "grouping needs " + std::to_string(want));
+    }
     for (std::uint64_t wi = 0; r.ok() && wi < wn; ++wi) {
       std::vector<SwitchId> members;
       const std::uint64_t mn = r.count(4);
-      if (r.ok() && mn == 0) {
-        r.fail("failure wheel has no members");
+      for (std::uint64_t i = 0; i < mn; ++i) members.push_back(SwitchId{r.u32()});
+      std::vector<SwitchId> sorted = members;
+      std::sort(sorted.begin(), sorted.end());
+      if (r.ok() && sorted != groups[static_cast<std::size_t>(wi)]) {
+        r.fail("failure wheel " + std::to_string(wi) +
+               " does not ring the members of its group");
         break;
-      }
-      for (std::uint64_t i = 0; i < mn; ++i) {
-        const std::uint32_t m = r.u32();
-        if (r.ok() && m >= switch_count) {
-          r.fail("wheel member " + std::to_string(m) +
-                 " outside the topology");
-          break;
-        }
-        members.push_back(SwitchId{m});
       }
       const SwitchId designated{r.u32()};
       std::vector<SwitchId> backups;
@@ -800,6 +701,15 @@ std::unique_ptr<scenario::ScenarioRunner> StateAccess::restore_runner(
       if (!r.ok()) break;
       auto wheel = std::make_unique<core::FailureWheel>(
           net->simulator_, members, designated, backups, net->config_);
+      bool known = wheel->index_.contains(designated.value());
+      for (const SwitchId b : backups) {
+        known = known && wheel->index_.contains(b.value());
+      }
+      if (!known) {
+        r.fail("failure wheel " + std::to_string(wi) +
+               " names a designated switch or backup outside its ring");
+        break;
+      }
       for (auto& s : wheel->state_) {
         s.up = r.boolean();
         s.control_link_up = r.boolean();
@@ -831,11 +741,6 @@ std::unique_ptr<scenario::ScenarioRunner> StateAccess::restore_runner(
       for (std::uint64_t i = 0; i < miss; ++i) {
         const std::uint64_t key = r.u64();
         wheel->miss_counts_[key] = static_cast<int>(r.i64());
-      }
-      const std::uint64_t pr = r.count(12);
-      for (std::uint64_t i = 0; i < pr; ++i) {
-        const std::uint64_t id = r.u64();
-        wheel->pending_reboots_.push_back({id, SwitchId{r.u32()}});
       }
       net->wheels_.push_back(std::move(wheel));
     }
@@ -910,8 +815,81 @@ std::unique_ptr<scenario::ScenarioRunner> StateAccess::restore_runner(
   net->rng_ = Rng(r.u64());
   r.leave_section();
 
-  // SIMU: clock/counters first (re-attachment validates tuples against
-  // them), then the descriptor table.
+  // SIMU: clock/counters first (each record's tuple is validated
+  // against them), then the pending records. Each record is checked
+  // against the state it names before it is loaded; check_record returns
+  // the diagnosis, empty when the record is valid.
+  const auto check_record = [&](const sim::Event& e) -> std::string {
+    const core::Config& cfg = net->config_;
+    const auto period_is = [&](SimDuration want) -> std::string {
+      if (e.period == want) return {};
+      return "period " + std::to_string(e.period) + "ns, expected " +
+             std::to_string(want) + "ns";
+    };
+    const auto fires_at = [&](SimTime want) -> std::string {
+      if (e.period != 0) return period_is(0);
+      if (e.time == want) return {};
+      return "fires at t=" + std::to_string(e.time) + "ns, expected t=" +
+             std::to_string(want) + "ns";
+    };
+    const auto timer = [&](SimDuration want) -> std::string {
+      if (want <= 0) return "a timer this spec does not arm";
+      return e.a != 0 ? "a timer carries no payload" : period_is(want);
+    };
+    const std::size_t i = static_cast<std::size_t>(e.a);
+    switch (e.kind) {
+      case sim::EventKind::kClosure:
+        return "a callback cannot be restored";
+      case sim::EventKind::kStatsWindow:
+        return timer(cfg.grouping.stats_window);
+      case sim::EventKind::kStateReport:
+        return timer(cfg.state_report_period);
+      case sim::EventKind::kDgmRound:
+        return timer(net->dgm_ ? cfg.dgm.maintenance_period : 0);
+      case sim::EventKind::kReconcile:
+        return timer(cfg.controller.reconcile_period);
+      case sim::EventKind::kMigration:
+        if (e.a >= migration_done.size() || migration_done[i]) {
+          return "names no outstanding migration";
+        }
+        return fires_at(net->pending_migrations_[i].at);
+      case sim::EventKind::kFlowCursor:
+        if (e.a >= runner->trace_->flows.size()) return "names no trace flow";
+        return fires_at(runner->trace_->flows[i].start);
+      case sim::EventKind::kWheelKeepalive: {
+        const core::FailureWheel* fw =
+            e.a < switch_count
+                ? net->wheel_of(SwitchId{static_cast<std::uint32_t>(e.a)})
+                : nullptr;
+        if (fw == nullptr || !fw->running_ || fw->timer_ != e.id ||
+            fw->members_.front().value() != e.a) {
+          return "matches no running failure wheel";
+        }
+        return period_is(cfg.keepalive_period);
+      }
+      case sim::EventKind::kWheelReboot:
+        if (!cfg.failover_enabled || e.a >= switch_count) {
+          return "reboots a switch no failure wheel can hold";
+        }
+        return period_is(0);
+      case sim::EventKind::kScriptEvent: {
+        const auto& events = runner->spec_.events;
+        if (e.a >= events.size() ||
+            events[i].kind == scenario::EventKind::kTrafficSurge ||
+            events[i].kind == scenario::EventKind::kMigrationBurst) {
+          return "names no scheduled script event";
+        }
+        return fires_at(events[i].at);
+      }
+      case sim::EventKind::kCheckpointFence:
+        if (e.a >= runner->extra_checkpoint_times_.size()) {
+          return "names no checkpoint fence";
+        }
+        return fires_at(runner->extra_checkpoint_times_[i]);
+    }
+    return "unknown kind";
+  };
+
   r.enter_section(kSimu);
   {
     const SimTime now = r.i64();
@@ -923,160 +901,69 @@ std::unique_ptr<scenario::ScenarioRunner> StateAccess::restore_runner(
       return fail(r.error());
     }
     net->simulator_.restore_clock(now, next_seq, next_id, processed);
-    runner->script_event_ids_.assign(runner->spec_.events.size(), 0);
-    runner->extra_event_ids_.assign(runner->extra_checkpoint_times_.size(),
-                                    0);
-    scenario::ScenarioRunner* rp = runner.get();
     std::unordered_set<std::uint64_t> seen_ids;
-    const std::uint64_t dn = r.count(39);
-    for (std::uint64_t i = 0; r.ok() && i < dn; ++i) {
-      PendingDesc d;
-      d.time = r.i64();
-      d.seq = r.u64();
-      d.id = r.u64();
-      d.periodic = r.boolean();
-      d.period = r.i64();
-      d.kind = r.u8();
-      d.payload = r.u64();
-      d.payload2 = r.u32();
+    // Every kind but a reboot names its state once (one series per
+    // timer and wheel, one record per migration, script event and
+    // fence); a switch may have two reboots in flight.
+    std::set<std::pair<std::uint8_t, std::uint64_t>> seen_targets;
+    std::size_t per_kind[sim::kEventKindCount] = {};
+    const std::uint64_t n = r.count(41);
+    for (std::uint64_t i = 0; r.ok() && i < n; ++i) {
+      sim::Event e;
+      e.time = r.i64();
+      e.seq = r.u64();
+      e.id = r.u64();
+      e.period = r.i64();
+      const std::uint8_t kind = r.u8();
+      e.a = r.u64();
       if (!r.ok()) break;
-      if (d.kind > kPendingKindMax) {
-        r.fail("unknown pending-event kind " + std::to_string(d.kind));
+      if (kind >= sim::kEventKindCount) {
+        r.fail("unknown pending-event kind " + std::to_string(kind));
         break;
       }
-      if (d.id == 0 || d.id >= next_id || d.seq >= next_seq || d.time < 0) {
-        r.fail("pending event id " + std::to_string(d.id) +
-               " has a tuple outside the restored counters");
+      e.kind = static_cast<sim::EventKind>(kind);
+      if (e.id == 0 || e.id >= next_id || e.seq >= next_seq || e.time < now) {
+        r.fail("pending event id " + std::to_string(e.id) +
+               " has a tuple outside the restored clock and counters");
         break;
       }
-      if (!seen_ids.insert(d.id).second) {
-        r.fail("pending event id " + std::to_string(d.id) +
-               " appears twice");
+      if (!seen_ids.insert(e.id).second) {
+        r.fail("pending event id " + std::to_string(e.id) + " appears twice");
         break;
       }
-      if (d.periodic != kind_is_periodic(d.kind) ||
-          (d.periodic && d.period <= 0)) {
-        r.fail("pending event id " + std::to_string(d.id) +
-               " has an inconsistent periodic flag/period");
+      std::string why = check_record(e);
+      if (why.empty() && e.kind != sim::EventKind::kWheelReboot &&
+          !seen_targets.insert({kind, e.a}).second) {
+        why = "duplicates another pending record";
+      }
+      if (!why.empty()) {
+        r.fail("pending event id " + std::to_string(e.id) + " (kind " +
+               std::to_string(kind) + "): " + why);
         break;
       }
-      switch (d.kind) {
-        case kPendingWindowTimer:
-          net->simulator_.restore_periodic(d.time, d.seq, d.id, d.period,
-                                           [net] { net->roll_stats_window(); });
-          net->replay_timers_.window = d.id;
-          break;
-        case kPendingReportTimer:
-          net->simulator_.restore_periodic(d.time, d.seq, d.id, d.period,
-                                           [net] { net->state_report_tick(); });
-          net->replay_timers_.report = d.id;
-          break;
-        case kPendingDgmTimer:
-          if (!net->dgm_) {
-            r.fail("DGM timer pending but dgm.mode is off");
-            break;
-          }
-          net->simulator_.restore_periodic(
-              d.time, d.seq, d.id, d.period,
-              [net] { net->run_dgm_maintenance(); });
-          net->replay_timers_.dgm = d.id;
-          break;
-        case kPendingReconcileTimer:
-          net->simulator_.restore_periodic(d.time, d.seq, d.id, d.period,
-                                           [net] { net->reconcile_state(); });
-          net->replay_timers_.reconcile = d.id;
-          break;
-        case kPendingMigration: {
-          if (d.payload >= net->pending_migrations_.size() ||
-              net->pending_migrations_[static_cast<std::size_t>(d.payload)]
-                      .event != d.id) {
-            r.fail("migration descriptor does not match the schedule");
-            break;
-          }
-          const core::Network::PendingMigration& m =
-              net->pending_migrations_[static_cast<std::size_t>(d.payload)];
-          net->simulator_.restore_one_shot(
-              d.time, d.seq, d.id, [net, host = m.host, to = m.to] {
-                net->perform_migration(host, to);
-              });
-          break;
-        }
-        case kPendingWheelKeepalive: {
-          if (d.payload >= net->wheels_.size()) {
-            r.fail("wheel keep-alive descriptor references wheel " +
-                   std::to_string(d.payload) + " of " +
-                   std::to_string(net->wheels_.size()));
-            break;
-          }
-          core::FailureWheel* fw =
-              net->wheels_[static_cast<std::size_t>(d.payload)].get();
-          if (!fw->running_ || fw->timer_ != d.id) {
-            r.fail("wheel keep-alive descriptor does not match wheel state");
-            break;
-          }
-          net->simulator_.restore_periodic(d.time, d.seq, d.id, d.period,
-                                           [fw] { fw->tick(); });
-          break;
-        }
-        case kPendingWheelReboot: {
-          if (d.payload >= net->wheels_.size()) {
-            r.fail("wheel reboot descriptor references wheel " +
-                   std::to_string(d.payload) + " of " +
-                   std::to_string(net->wheels_.size()));
-            break;
-          }
-          core::FailureWheel* fw =
-              net->wheels_[static_cast<std::size_t>(d.payload)].get();
-          net->simulator_.restore_one_shot(
-              d.time, d.seq, d.id, [fw, sw = SwitchId{d.payload2}] {
-                fw->finish_reboot(sw);
-              });
-          break;
-        }
-        case kPendingFlowCursor:
-          if (d.payload >= runner->trace_->flows.size()) {
-            r.fail("flow cursor index " + std::to_string(d.payload) +
-                   " beyond the trace's " +
-                   std::to_string(runner->trace_->flows.size()) + " flows");
-            break;
-          }
-          // Not re-attached here: finish() re-creates the injection
-          // chain under this exact tuple.
-          runner->resume_cursor_ = {true, d.time, d.seq, d.id,
-                                    static_cast<std::size_t>(d.payload)};
-          break;
-        case kPendingScriptEvent:
-          if (d.payload >= runner->spec_.events.size()) {
-            r.fail("script event index " + std::to_string(d.payload) +
-                   " beyond the spec's " +
-                   std::to_string(runner->spec_.events.size()) + " events");
-            break;
-          }
-          net->simulator_.restore_one_shot(
-              d.time, d.seq, d.id,
-              [rp, i = static_cast<std::size_t>(d.payload)] {
-                rp->apply_event(rp->spec_.events[i]);
-              });
-          runner->script_event_ids_[static_cast<std::size_t>(d.payload)] =
-              d.id;
-          break;
-        case kPendingExtraCheckpoint:
-          if (d.payload >= runner->extra_checkpoint_times_.size()) {
-            r.fail("extra checkpoint index " + std::to_string(d.payload) +
-                   " beyond the recorded " +
-                   std::to_string(runner->extra_checkpoint_times_.size()) +
-                   " fences");
-            break;
-          }
-          net->simulator_.restore_one_shot(
-              d.time, d.seq, d.id, [rp] { rp->take_checkpoint(); });
-          runner->extra_event_ids_[static_cast<std::size_t>(d.payload)] =
-              d.id;
-          break;
-        default:
-          r.fail("unhandled pending-event kind");
-          break;
-      }
+      ++per_kind[kind];
+      net->simulator_.restore_event(e);
+    }
+    // Completeness: every timer, migration and keep-alive series the
+    // restored state says is armed must be in the queue.
+    const auto count = [&](sim::EventKind k) {
+      return per_kind[static_cast<std::size_t>(k)];
+    };
+    const std::size_t outstanding = static_cast<std::size_t>(
+        std::count(migration_done.begin(), migration_done.end(), false));
+    std::size_t running = 0;
+    for (const auto& wp : net->wheels_) running += wp->running_ ? 1 : 0;
+    if (r.ok() &&
+        (count(sim::EventKind::kStatsWindow) != 1 ||
+         count(sim::EventKind::kStateReport) != 1 ||
+         count(sim::EventKind::kDgmRound) != (net->dgm_ ? 1u : 0u) ||
+         count(sim::EventKind::kReconcile) !=
+             (net->config_.controller.reconcile_period > 0 ? 1u : 0u) ||
+         count(sim::EventKind::kFlowCursor) > 1 ||
+         count(sim::EventKind::kMigration) != outstanding ||
+         count(sim::EventKind::kWheelKeepalive) != running)) {
+      r.fail("pending queue does not match the armed timers, migrations, "
+             "failure wheels and flow cursor");
     }
   }
   r.leave_section();

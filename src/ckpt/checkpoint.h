@@ -6,16 +6,15 @@
 // functions of the seed), the Network's mutable state (L-FIBs, C-LIB,
 // flow tables, grouping, dormant/excluded hosts, failure wheels, DGM
 // monitor/detector, RNG streams), the RunMetrics, and the simulator's
-// pending event queue as a table of (time, seq, id) descriptors whose
-// callbacks the restorer re-attaches under their exact tuples.
-//
-// Snapshots are only taken at scenario-event fences, where in-flight
-// work is identically zero: every flow resolves within a single
-// simulator event, so the pending queue holds nothing but classifiable
-// control events (periodic timers, scheduled migrations, wheel
-// keep-alives and reboots, the flow-injection cursor and the script
-// itself). An unclassifiable pending event fails the save with a
-// diagnosed error — that check IS the in-flight ≡ 0 assertion.
+// pending queue. Every event the library schedules is a data record
+// (time, seq, id, period, kind, a) (sim/simulator.h), so the queue is
+// dumped verbatim and loaded back under the same tuples; on restore each
+// record is first validated against the state it names (its migration,
+// trace flow, failure wheel, script event or fence, and the configured
+// period of its timer), and the queue as a whole against the timers,
+// migrations and wheels the state says are armed. A pending closure —
+// scheduled from outside the library — has no description and fails the
+// save with a diagnosed error.
 //
 // G-FIBs are NOT serialized: a peer filter is a pure function of the
 // member's current host set and the hidden-host sets (the delta-sync
@@ -53,14 +52,14 @@ class StateAccess {
   /// Serializes the runner's full state at the current simulator fence.
   /// `index` is the snapshot's sequence number within the run (restored
   /// runners continue the numbering). Fails — with a diagnosed error and
-  /// `out` untouched — when the pending queue holds in-flight work.
+  /// `out` untouched — when the pending queue holds a closure.
   static bool save(scenario::ScenarioRunner& runner, std::uint32_t index,
                    std::vector<std::uint8_t>* out, std::string* error);
 
   /// Rebuilds a runner from snapshot bytes: re-derives topology + trace
   /// from the embedded spec, reconstructs the network state verbatim and
-  /// re-attaches every pending callback under its exact (time, seq, id)
-  /// tuple. Returns nullptr with a line/offset-diagnosed error on any
+  /// loads every pending record under its exact (time, seq, id) tuple.
+  /// Returns nullptr with a line/offset-diagnosed error on any
   /// malformed input. The returned runner replays nothing until
   /// ScenarioRunner::finish().
   static std::unique_ptr<scenario::ScenarioRunner> restore_runner(

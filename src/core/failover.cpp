@@ -71,13 +71,33 @@ void FailureWheel::start() {
   if (running_) return;
   running_ = true;
   timer_ = simulator_->schedule_periodic(config_.keepalive_period,
-                                         [this] { tick(); });
+                                         sim::EventKind::kWheelKeepalive,
+                                         members_.front().value());
 }
 
 void FailureWheel::stop() {
   if (!running_) return;
   running_ = false;
   simulator_->cancel(timer_);
+}
+
+void FailureWheel::claim_events() {
+  simulator_->set_handler(sim::EventKind::kWheelKeepalive, this);
+  simulator_->set_handler(sim::EventKind::kWheelReboot, this);
+}
+
+void FailureWheel::on_event(const sim::Event& e) {
+  switch (e.kind) {
+    case sim::EventKind::kWheelKeepalive:
+      tick();
+      break;
+    case sim::EventKind::kWheelReboot:
+      recover_switch(SwitchId{static_cast<std::uint32_t>(e.a)});
+      break;
+    default:
+      assert(false && "not a wheel event");
+      break;
+  }
 }
 
 void FailureWheel::fail_switch(SwitchId sw) { state_[index_of(sw)].up = false; }
@@ -206,27 +226,13 @@ void FailureWheel::handle_detection(std::size_t index, FailureKind kind) {
                          "switch failure detected; outage announced in group; "
                          "remote reboot issued"});
       if (sw == designated_) reelect_designated(now);
-      const sim::EventId reboot = simulator_->schedule_after(
-          config_.switch_reboot_delay, [this, sw] { finish_reboot(sw); });
-      pending_reboots_.emplace_back(reboot, sw);
+      simulator_->schedule_at(now + config_.switch_reboot_delay,
+                              sim::EventKind::kWheelReboot, sw.value());
       break;
     }
     case FailureKind::kNone:
       break;
   }
-}
-
-void FailureWheel::finish_reboot(SwitchId sw) {
-  // Reboots of one switch complete in scheduling order (constant delay),
-  // so the oldest matching entry is the one firing.
-  for (auto it = pending_reboots_.begin(); it != pending_reboots_.end();
-       ++it) {
-    if (it->second == sw) {
-      pending_reboots_.erase(it);
-      break;
-    }
-  }
-  recover_switch(sw);
 }
 
 void FailureWheel::tick() {

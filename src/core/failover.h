@@ -58,17 +58,35 @@ struct WheelEvent {
 };
 
 /// Event-driven failure-detection wheel for one local control group.
-class FailureWheel {
+///
+/// The wheel schedules two kinds of simulator records: its periodic
+/// keep-alive (kWheelKeepalive, payload = first ring member) and the
+/// remote reboot of a detected switch failure (kWheelReboot, payload =
+/// the switch). Inside a core::Network the network routes both to
+/// whichever wheel holds that switch when the record fires, so a
+/// regroup that rebuilds the wheels never strands a pending reboot. A
+/// wheel used on its own calls claim_events() to receive them directly.
+class FailureWheel : public sim::EventHandler {
  public:
   /// `members` must already be ordered by management MAC (the controller
   /// does this at setup, §III-D1). `backups` are designated-switch backups.
   FailureWheel(sim::Simulator& simulator, std::vector<SwitchId> members,
                SwitchId designated, std::vector<SwitchId> backups,
                const Config& config);
+  // claim_events() hands this wheel's address to the simulator.
+  FailureWheel(const FailureWheel&) = delete;
+  FailureWheel& operator=(const FailureWheel&) = delete;
 
   /// Arms the periodic keep-alive/detection timer.
   void start();
   void stop();
+
+  /// Makes this wheel the simulator's handler for wheel records (a
+  /// wheel used without a Network).
+  void claim_events();
+  /// Runs a wheel record: a keep-alive tick, or the completion of a
+  /// remote reboot (recover_switch of the record's switch).
+  void on_event(const sim::Event& e) override;
 
   // --- failure injection ---
   void fail_switch(SwitchId sw);
@@ -101,8 +119,7 @@ class FailureWheel {
 
  private:
   /// Snapshot codec (src/ckpt): serializes the wheel verbatim, including
-  /// the pending keep-alive timer and reboot one-shots (by exact
-  /// simulator tuple), and rebuilds it on restore.
+  /// the id of its pending keep-alive series, and rebuilds it on restore.
   friend class lazyctrl::ckpt::StateAccess;
 
   struct MemberState {
@@ -118,9 +135,6 @@ class FailureWheel {
   void tick();
   void handle_detection(std::size_t index, FailureKind kind);
   void reelect_designated(SimTime now);
-  /// Fires when a remote reboot completes: retires its pending_reboots_
-  /// entry, then recover_switch().
-  void finish_reboot(SwitchId sw);
   std::size_t index_of(SwitchId sw) const;
 
   sim::Simulator* simulator_;
@@ -138,10 +152,6 @@ class FailureWheel {
   /// Consecutive missed keep-alives per (subject, kind); detection fires
   /// after `keepalive_loss_threshold` misses.
   std::unordered_map<std::uint64_t, int> miss_counts_;
-  /// In-flight remote reboots (§III-E3), oldest first, keyed by the
-  /// scheduled one-shot's event id so a checkpoint can classify — and a
-  /// restore re-attach — them.
-  std::vector<std::pair<sim::EventId, SwitchId>> pending_reboots_;
 };
 
 }  // namespace lazyctrl::core

@@ -94,6 +94,13 @@ Network::Network(topo::Topology topology, Config config)
         config_.dgm, config_.grouping.group_size_limit,
         static_cast<dgm::GroupingHost&>(*this), config_.seed);
   }
+  for (const sim::EventKind kind :
+       {sim::EventKind::kStatsWindow, sim::EventKind::kStateReport,
+        sim::EventKind::kDgmRound, sim::EventKind::kReconcile,
+        sim::EventKind::kMigration, sim::EventKind::kFlowCursor,
+        sim::EventKind::kWheelKeepalive, sim::EventKind::kWheelReboot}) {
+    simulator_.set_handler(kind, this);
+  }
 }
 
 void Network::bootstrap() {
@@ -1112,18 +1119,11 @@ bool Network::force_regroup() {
   return run_legacy_incupdate();
 }
 
-void Network::state_report_tick() {
-  if (config_.mode == ControlMode::kLazyCtrl) {
-    metrics_->state_link_messages += controller_.grouping().group_count;
-  }
-}
-
 void Network::end_replay() {
-  simulator_.cancel(replay_timers_.window);
-  simulator_.cancel(replay_timers_.report);
-  if (replay_timers_.dgm != 0) simulator_.cancel(replay_timers_.dgm);
-  if (replay_timers_.reconcile != 0) {
-    simulator_.cancel(replay_timers_.reconcile);
+  for (const sim::EventKind kind :
+       {sim::EventKind::kStatsWindow, sim::EventKind::kStateReport,
+        sim::EventKind::kDgmRound, sim::EventKind::kReconcile}) {
+    simulator_.cancel_kind(kind);
   }
 }
 
@@ -1141,73 +1141,103 @@ void Network::replay(const workload::Trace& trace) {
   fresh->preload_rules_installed = metrics_->preload_rules_installed;
   metrics_ = std::move(fresh);
 
-  // Periodic machinery. The timer ids are kept in `replay_timers_` so a
-  // checkpoint can classify the pending queue.
-  replay_timers_.window = simulator_.schedule_periodic(
-      config_.grouping.stats_window, [this] { roll_stats_window(); });
-  replay_timers_.report = simulator_.schedule_periodic(
-      config_.state_report_period, [this] { state_report_tick(); });
+  // Periodic machinery (cancelled again by end_replay()).
+  simulator_.schedule_periodic(config_.grouping.stats_window,
+                               sim::EventKind::kStatsWindow);
+  simulator_.schedule_periodic(config_.state_report_period,
+                               sim::EventKind::kStateReport);
   if (dgm_) {
-    replay_timers_.dgm = simulator_.schedule_periodic(
-        config_.dgm.maintenance_period, [this] { run_dgm_maintenance(); });
+    simulator_.schedule_periodic(config_.dgm.maintenance_period,
+                                 sim::EventKind::kDgmRound);
   }
   if (config_.controller.reconcile_period > 0) {
-    replay_timers_.reconcile = simulator_.schedule_periodic(
-        config_.controller.reconcile_period, [this] { reconcile_state(); });
+    simulator_.schedule_periodic(config_.controller.reconcile_period,
+                                 sim::EventKind::kReconcile);
   }
 
-  // Migrations. The scheduled id is recorded so a checkpoint can match
-  // the pending one-shot back to its migration.
-  for (PendingMigration& m : pending_migrations_) {
-    m.event = simulator_.schedule_at(
-        m.at, [this, host = m.host, to = m.to] {
-          perform_migration(host, to);
-        });
+  for (std::size_t i = 0; i < pending_migrations_.size(); ++i) {
+    simulator_.schedule_at(pending_migrations_[i].at,
+                           sim::EventKind::kMigration, i);
   }
 
-  // Cursor-driven flow injection (sim::schedule_cursor_chain): one
-  // pending event at a time, each draining a run of consecutive flows
-  // fenced by the next pending control-plane event (flow_cursor_step).
+  // Cursor-driven flow injection: one pending event at a time, each
+  // draining a run of consecutive flows fenced by the next pending
+  // control-plane event (run_flow_cursor).
+  replay_flows_ = &trace.flows;
   if (!trace.flows.empty()) {
-    sim::schedule_cursor_chain(simulator_, trace.flows.front().start,
-                               flow_cursor_step(&trace.flows), &cursor_);
+    simulator_.schedule_at(trace.flows.front().start,
+                           sim::EventKind::kFlowCursor, 0);
   }
 
   simulator_.run_until(trace.horizon);
   end_replay();
 }
 
-sim::CursorStep Network::flow_cursor_step(
-    const std::vector<workload::Flow>* flows) {
-  return [this, flows](std::size_t i)
-             -> std::optional<std::pair<std::size_t, SimTime>> {
-    // The event for flow i has already fired, so i is always safe to
-    // process. Later flows join its run only while they start strictly
-    // before the next pending event (at a timestamp tie, one event per
-    // flow would run that event first) and within the horizon (their own
-    // events would never fire), so the run matches one event per flow
-    // exactly while scheduling a single event.
-    const SimTime fence =
-        std::min(simulator_.next_event_time(), horizon_ + 1);
-    obs::ScopedTimer timer(obs::TraceEventType::kReplaySpan,
-                           (*flows)[i].start, 0, i);
-    std::size_t end = i;
-    do {
-      on_flow((*flows)[end]);
-      ++end;
-    } while (end < flows->size() && (*flows)[end].start < fence);
-    timer.args(end - i, i);
-    if (end >= flows->size()) return std::nullopt;
-    return {{end, (*flows)[end].start}};
-  };
+void Network::run_flow_cursor(std::size_t i) {
+  const std::vector<workload::Flow>& flows = *replay_flows_;
+  // The event for flow i has already fired, so i is always safe to
+  // process. Later flows join its run only while they start strictly
+  // before the next pending event (at a timestamp tie, one event per
+  // flow would run that event first) and within the horizon (their own
+  // events would never fire), so the run matches one event per flow
+  // exactly while scheduling a single event.
+  const SimTime fence = std::min(simulator_.next_event_time(), horizon_ + 1);
+  obs::ScopedTimer timer(obs::TraceEventType::kReplaySpan, flows[i].start,
+                         0, i);
+  std::size_t end = i;
+  do {
+    on_flow(flows[end]);
+    ++end;
+  } while (end < flows.size() && flows[end].start < fence);
+  timer.args(end - i, i);
+  if (end < flows.size()) {
+    simulator_.schedule_at(flows[end].start, sim::EventKind::kFlowCursor,
+                           end);
+  }
 }
 
-void Network::resume_replay(const workload::Trace& trace,
-                            const ResumeCursor& rc) {
-  if (rc.active) {
-    sim::resume_cursor_chain(simulator_, rc.at, rc.seq, rc.id, rc.index,
-                             flow_cursor_step(&trace.flows), &cursor_);
+void Network::on_event(const sim::Event& e) {
+  switch (e.kind) {
+    case sim::EventKind::kStatsWindow:
+      roll_stats_window();
+      break;
+    case sim::EventKind::kStateReport:
+      if (config_.mode == ControlMode::kLazyCtrl) {
+        metrics_->state_link_messages += controller_.grouping().group_count;
+      }
+      break;
+    case sim::EventKind::kDgmRound:
+      run_dgm_maintenance();
+      break;
+    case sim::EventKind::kReconcile:
+      reconcile_state();
+      break;
+    case sim::EventKind::kMigration: {
+      const PendingMigration& m = pending_migrations_[e.a];
+      perform_migration(m.host, m.to);
+      break;
+    }
+    case sim::EventKind::kFlowCursor:
+      run_flow_cursor(e.a);
+      break;
+    case sim::EventKind::kWheelKeepalive:
+    case sim::EventKind::kWheelReboot:
+      // Both carry a switch: the wheel holding it now runs the record
+      // (a reboot outlives the wheel that issued it when a regroup
+      // rebuilds the wheels in between).
+      if (FailureWheel* wheel =
+              wheel_of(SwitchId{static_cast<std::uint32_t>(e.a)})) {
+        wheel->on_event(e);
+      }
+      break;
+    default:
+      assert(false && "not a Network event");
+      break;
   }
+}
+
+void Network::resume_replay(const workload::Trace& trace) {
+  replay_flows_ = &trace.flows;
   simulator_.run_until(trace.horizon);
   end_replay();
 }

@@ -50,7 +50,7 @@ namespace lazyctrl::core {
 struct InvariantReport;
 class InvariantChecker;
 
-class Network : private dgm::GroupingHost {
+class Network : private dgm::GroupingHost, private sim::EventHandler {
  public:
   /// Takes a copy of the topology (migrations mutate it) and the run config.
   Network(topo::Topology topology, Config config);
@@ -69,23 +69,10 @@ class Network : private dgm::GroupingHost {
   /// (when enabled) dynamic regrouping. May be called once per Network.
   void replay(const workload::Trace& trace);
 
-  /// Where a checkpointed flow-cursor chain should pick up again; built
-  /// by ckpt::StateAccess from a snapshot's pending-event table and held
-  /// by a restored ScenarioRunner until finish() re-creates the chain.
-  struct ResumeCursor {
-    bool active = false;  ///< false: the chain had already finished
-    SimTime at = 0;
-    std::uint64_t seq = 0;
-    sim::EventId id = 0;
-    std::size_t index = 0;
-  };
-
-  /// Runs a checkpoint-restored replay to the trace horizon. Every timer
-  /// and migration callback has already been re-attached by the restorer
-  /// (ckpt::StateAccess); this re-creates the flow-injection chain under
-  /// its exact snapshot tuple and drives the simulator. `rc` is the
-  /// cursor the restorer recorded.
-  void resume_replay(const workload::Trace& trace, const ResumeCursor& rc);
+  /// Runs a checkpoint-restored replay to the trace horizon. The
+  /// restorer (ckpt::StateAccess) has already loaded every pending event,
+  /// the flow cursor included; `trace` is the one the cursor indexes.
+  void resume_replay(const workload::Trace& trace);
 
   /// Schedules a VM migration during replay (must be called before replay).
   void schedule_migration(HostId host, SwitchId to, SimTime at);
@@ -262,9 +249,8 @@ class Network : private dgm::GroupingHost {
   friend class InvariantChecker;
 
   /// The snapshot codec (src/ckpt): serializes the full run state at a
-  /// scenario-event fence (in-flight ≡ 0) and rebuilds it on resume,
-  /// re-attaching the pending timer/migration/cursor callbacks under
-  /// their exact (time, seq, id) tuples.
+  /// scenario-event fence and rebuilds it on resume, loading the pending
+  /// event records after validating each against the state it names.
   friend class lazyctrl::ckpt::StateAccess;
 
   struct PathDelays {
@@ -296,25 +282,19 @@ class Network : private dgm::GroupingHost {
     kInterGroupPunt,     ///< Fig. 5 miss everywhere -> PacketIn
   };
 
-  /// Pending-timer handles of the periodic machinery replay() schedules
-  /// (stats windows, state reports, DGM rounds, reconcile).
-  struct ReplayTimers {
-    sim::EventId window = 0;
-    sim::EventId report = 0;
-    sim::EventId dgm = 0;
-    sim::EventId reconcile = 0;
-  };
-  /// Cancels the periodic timers in `replay_timers_` once the trace
-  /// horizon is reached (end of replay() and resume_replay()).
+  /// Cancels the periodic timers replay() armed (stats windows, state
+  /// reports, DGM rounds, reconcile) once the trace horizon is reached
+  /// (end of replay() and resume_replay()).
   void end_replay();
 
-  /// The flow-injection cursor step: one simulator event handles the run
-  /// of consecutive flows that start before the next pending event (or
-  /// past the horizon), each through on_flow(). Shared by replay() and
-  /// the checkpoint-resume path so both drive the exact same datapath.
-  /// `flows` must outlive the chain.
-  [[nodiscard]] sim::CursorStep flow_cursor_step(
-      const std::vector<workload::Flow>* flows);
+  /// The one switch over this network's simulator event kinds.
+  void on_event(const sim::Event& e) override;
+
+  /// The flow-injection cursor (kFlowCursor record for flow `i`): one
+  /// simulator event handles the run of consecutive flows that start
+  /// before the next pending event (or past the horizon), each through
+  /// on_flow(), then schedules the record for the next flow.
+  void run_flow_cursor(std::size_t i);
 
   /// The one decision path of a trace flow: EdgeSwitch::decide (Fig. 5)
   /// at the ingress switch, then the mode's decision processor.
@@ -416,10 +396,6 @@ class Network : private dgm::GroupingHost {
   }
   void perform_migration(HostId host, SwitchId to);
   void roll_stats_window();
-  /// Body of the periodic state-report timer (replay()), shared with
-  /// the checkpoint restorer so the re-attached periodic runs the exact
-  /// same code.
-  void state_report_tick();
 
   // dgm::GroupingHost (the seam the MigrationExecutor commits through).
   [[nodiscard]] const Grouping& current_grouping() const override {
@@ -451,24 +427,16 @@ class Network : private dgm::GroupingHost {
   /// The DGM control loop (null unless config.dgm.mode != kOff).
   std::unique_ptr<dgm::Maintainer> dgm_;
 
+  /// Scheduled VM migrations; a kMigration record carries the index.
   struct PendingMigration {
     HostId host;
     SwitchId to;
     SimTime at;
-    /// Simulator event id once replay() scheduled it (0 before);
-    /// lets a checkpoint classify and a restore re-attach the one-shot.
-    sim::EventId event = 0;
   };
   std::vector<PendingMigration> pending_migrations_;
 
-  /// Timer ids of the current replay (valid once replay() started);
-  /// read by the snapshot codec to classify pending periodic events.
-  ReplayTimers replay_timers_;
-
-  /// Live position of the flow-injection cursor chain, so a snapshot
-  /// can describe — and a restore re-create — the chain's single pending
-  /// event.
-  sim::CursorTracker cursor_;
+  /// The flows the kFlowCursor records index (the replayed trace's).
+  const std::vector<workload::Flow>* replay_flows_ = nullptr;
 
   /// Bumped by every apply_grouping() (the `grouping.epoch` stat).
   std::uint64_t grouping_epoch_ = 0;

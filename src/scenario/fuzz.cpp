@@ -84,6 +84,12 @@ ScenarioSpec generate_scenario(std::uint64_t seed, const FuzzOptions& opt) {
   s.config.mode =
       lazy ? core::ControlMode::kLazyCtrl : core::ControlMode::kOpenFlow;
   s.config.failover_enabled = lazy && rng.next_bool(0.8);
+  if (s.config.failover_enabled) {
+    // Long reboots keep a failed switch's reboot pending across later
+    // regroups (which rebuild every failure wheel) and checkpoints.
+    s.config.switch_reboot_delay =
+        pick(rng, {10 * kSecond, 1 * kMinute, 5 * kMinute});
+  }
   s.config.grouping.group_size_limit =
       static_cast<std::size_t>(rng.next_between(4, 12));
   s.config.grouping.dynamic_regrouping = rng.next_bool(0.75);

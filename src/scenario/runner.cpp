@@ -412,9 +412,7 @@ bool ScenarioRunner::run(std::string* error) {
   if (!validate(error)) return false;
   build_trace();
 
-  core::Config config = spec_.config;
-  config.seed = spec_.seed;
-  net_ = std::make_unique<core::Network>(topology_, config);
+  make_network();
 
   // Tenants with an arrival event stay dormant through bootstrap.
   std::vector<TenantId> dormant;
@@ -439,7 +437,7 @@ bool ScenarioRunner::run(std::string* error) {
   // consumed; migration bursts expand into scheduled migrations here;
   // the rest become simulator events fired through the Network's
   // scenario seams, fenced between replay spans like any control event.
-  script_event_ids_.assign(spec_.events.size(), 0);
+  sim::Simulator& simulator = net_->simulator();
   for (std::size_t i = 0; i < spec_.events.size(); ++i) {
     const ScenarioEvent& ev = spec_.events[i];
     if (ev.kind == EventKind::kTrafficSurge) continue;
@@ -448,20 +446,40 @@ bool ScenarioRunner::run(std::string* error) {
       continue;
     }
     ++counts_.scheduled;
-    script_event_ids_[i] = net_->simulator().schedule_at(
-        ev.at, [this, i] { apply_event(spec_.events[i]); });
+    simulator.schedule_at(ev.at, sim::EventKind::kScriptEvent, i);
   }
   // --checkpoint-every fences, scheduled after the script so a same-time
   // script event commits before the snapshot records it.
-  extra_event_ids_.assign(extra_checkpoint_times_.size(), 0);
   for (std::size_t i = 0; i < extra_checkpoint_times_.size(); ++i) {
-    extra_event_ids_[i] = net_->simulator().schedule_at(
-        extra_checkpoint_times_[i], [this] { take_checkpoint(); });
+    simulator.schedule_at(extra_checkpoint_times_[i],
+                          sim::EventKind::kCheckpointFence, i);
   }
 
   net_->replay(*trace_);
   end_of_run_checks();
   return true;
+}
+
+void ScenarioRunner::make_network() {
+  core::Config config = spec_.config;
+  config.seed = spec_.seed;
+  net_ = std::make_unique<core::Network>(topology_, config);
+  net_->simulator().set_handler(sim::EventKind::kScriptEvent, this);
+  net_->simulator().set_handler(sim::EventKind::kCheckpointFence, this);
+}
+
+void ScenarioRunner::on_event(const sim::Event& e) {
+  switch (e.kind) {
+    case sim::EventKind::kScriptEvent:
+      apply_event(spec_.events[e.a]);
+      break;
+    case sim::EventKind::kCheckpointFence:
+      take_checkpoint();
+      break;
+    default:
+      assert(false && "not a ScenarioRunner event");
+      break;
+  }
 }
 
 void ScenarioRunner::end_of_run_checks() {
@@ -489,7 +507,7 @@ bool ScenarioRunner::finish(std::string* error) {
     return false;
   }
   ran_ = true;
-  net_->resume_replay(*trace_, resume_cursor_);
+  net_->resume_replay(*trace_);
   end_of_run_checks();
   return true;
 }

@@ -34,9 +34,12 @@ class StateAccess;
 
 namespace lazyctrl::scenario {
 
-class ScenarioRunner {
+class ScenarioRunner : private sim::EventHandler {
  public:
   explicit ScenarioRunner(ScenarioSpec spec) : spec_(std::move(spec)) {}
+  // The network's simulator holds this runner as an event handler.
+  ScenarioRunner(const ScenarioRunner&) = delete;
+  ScenarioRunner& operator=(const ScenarioRunner&) = delete;
 
   /// Builds topology + trace + network, validates the event script
   /// against them (switch/tenant/host indices in range, events within
@@ -76,8 +79,8 @@ class ScenarioRunner {
   // --- checkpoint / resume (src/ckpt) ---
 
   /// One snapshot taken at a checkpoint fence. `bytes` is empty and
-  /// `error` set when serialization failed (e.g. in-flight work at the
-  /// fence); the run itself continues either way.
+  /// `error` set when serialization failed (e.g. a closure pending at
+  /// the fence); the run itself continues either way.
   struct Snapshot {
     SimTime at = 0;
     std::vector<std::uint8_t> bytes;
@@ -126,11 +129,16 @@ class ScenarioRunner {
   }
 
  private:
-  /// The snapshot codec: reads/writes the runner's scheduling bookkeeping
-  /// (script event ids, checkpoint fences, event counts) alongside the
-  /// network state, and rebuilds a restored runner through the private
-  /// construction path.
+  /// The snapshot codec: reads/writes the runner's bookkeeping
+  /// (checkpoint fences, event counts) alongside the network state, and
+  /// rebuilds a restored runner through the private construction path.
   friend class lazyctrl::ckpt::StateAccess;
+
+  /// Builds the network for this spec and makes the runner the handler
+  /// of its simulator's script and checkpoint-fence records.
+  void make_network();
+  /// The one switch over the runner's simulator event kinds.
+  void on_event(const sim::Event& e) override;
 
   /// Range-checks the spec's VM bounds and builds the topology (once);
   /// shared head of run() and validate_only().
@@ -146,8 +154,8 @@ class ScenarioRunner {
   /// (arrival opens, departure closes; both default to the full run).
   [[nodiscard]] std::vector<workload::TenantActivityWindow>
   tenant_activity_windows() const;
-  /// Serializes the current state into `snapshots_` (fence callback of
-  /// both `checkpoint_at` script events and --checkpoint-every one-shots).
+  /// Serializes the current state into `snapshots_` (at both
+  /// `checkpoint_at` script events and --checkpoint-every fences).
   void take_checkpoint();
   /// End-of-run invariant tail shared by run() and finish().
   void end_of_run_checks();
@@ -163,22 +171,16 @@ class ScenarioRunner {
   std::vector<std::string> invariant_violations_;
 
   // --- checkpoint bookkeeping ---
-  /// Simulator event id per script event (0 = not scheduled: build-time
-  /// kinds, or already fired on a restored runner); parallel to
-  /// spec_.events. Lets a snapshot classify pending script events.
-  std::vector<sim::EventId> script_event_ids_;
-  /// --checkpoint-every fences: absolute times and their one-shot ids.
+  /// --checkpoint-every fences: absolute times, each scheduled as a
+  /// kCheckpointFence record carrying its index.
   std::vector<SimTime> extra_checkpoint_times_;
-  std::vector<sim::EventId> extra_event_ids_;
   std::vector<Snapshot> snapshots_;
   /// Index the next snapshot gets (restored runners continue the
   /// uninterrupted run's numbering).
   std::uint32_t next_snapshot_index_ = 0;
-  /// Valid on a restored runner: the snapshot's own index and where the
-  /// flow-injection chain picks up.
+  /// Valid on a restored runner: the snapshot's own index.
   bool restored_ = false;
   std::uint32_t restore_index_ = 0;
-  core::Network::ResumeCursor resume_cursor_;
 };
 
 }  // namespace lazyctrl::scenario

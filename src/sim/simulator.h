@@ -1,36 +1,79 @@
 // Deterministic discrete-event simulator.
 //
 // This is the substrate replacing the paper's physical testbed: switches,
-// controllers and links are plain objects exchanging timestamped callbacks.
+// controllers and links are plain objects exchanging timestamped events.
 // Events at equal timestamps fire in scheduling order (a monotonically
 // increasing sequence number breaks ties), so runs are bit-reproducible.
+//
+// Every event the library schedules is a plain data record
+// (time, seq, id, period, kind, a): the simulator hands it to the
+// EventHandler registered for its kind, and the owner's one `switch`
+// over the kind does the work (core::Network for the replay timers,
+// migrations, the flow cursor and the failure wheels;
+// scenario::ScenarioRunner for script events and checkpoint fences).
+// Because a pending event is only data, a checkpoint dumps the queue
+// verbatim and a restore loads it back (src/ckpt). Callers outside the
+// library (tests, examples, benches) may still schedule closures; they
+// share the same heap and sequence counter, so mixing the two keeps the
+// (time, seq) order — but a snapshot refuses a pending closure.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <optional>
-#include <queue>
 #include <unordered_map>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/time.h"
-#include "sim/event_fn.h"
 
 namespace lazyctrl::sim {
 
 /// Opaque handle identifying a scheduled event; usable to cancel it.
+/// Ids start at 1; 0 never names an event.
 using EventId = std::uint64_t;
+
+/// What a pending event does, i.e. which owner's switch dispatches it.
+/// The numeric values are part of the snapshot format (ckpt::kFormatVersion).
+enum class EventKind : std::uint8_t {
+  kClosure = 0,  ///< a callback scheduled from outside the library
+  // core::Network
+  kStatsWindow = 1,    ///< periodic: roll the stats window
+  kStateReport = 2,    ///< periodic: state-report tick
+  kDgmRound = 3,       ///< periodic: DGM maintenance round
+  kReconcile = 4,      ///< periodic: anti-entropy reconcile
+  kMigration = 5,      ///< a = index of the scheduled VM migration
+  kFlowCursor = 6,     ///< a = index of the next trace flow to inject
+  kWheelKeepalive = 7, ///< periodic; a = first ring member of the wheel
+  kWheelReboot = 8,    ///< a = the rebooting switch (§III-E3)
+  // scenario::ScenarioRunner
+  kScriptEvent = 9,      ///< a = index into the spec's event script
+  kCheckpointFence = 10, ///< a = index of the extra checkpoint time
+};
+inline constexpr std::size_t kEventKindCount = 11;
+
+/// One pending event. `period` is 0 for a one-shot; a periodic event
+/// re-arms at time + period with a fresh sequence number each firing.
+struct Event {
+  SimTime time = 0;
+  std::uint64_t seq = 0;
+  EventId id = 0;
+  SimDuration period = 0;
+  EventKind kind = EventKind::kClosure;
+  std::uint64_t a = 0;
+};
+
+/// The owner of one or more event kinds.
+class EventHandler {
+ public:
+  virtual void on_event(const Event& e) = 0;
+
+ protected:
+  ~EventHandler() = default;
+};
 
 class Simulator {
  public:
-  /// Small-buffer-optimized move-only callable: scheduling an event whose
-  /// captures fit EventFn::kInlineBytes performs no callback allocation
-  /// (std::function heap-allocated anything beyond ~2 pointers, one
-  /// allocation per scheduled event on the replay hot path).
-  using Callback = EventFn;
+  using Callback = std::function<void()>;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -38,23 +81,32 @@ class Simulator {
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedules `cb` to run at absolute time `t` (>= now). Returns an id
-  /// that can be passed to `cancel`.
-  EventId schedule_at(SimTime t, Callback cb);
+  /// Routes every event of `kind` to `handler` (which must outlive the
+  /// events it receives). Not valid for kClosure.
+  void set_handler(EventKind kind, EventHandler* handler);
 
-  /// Schedules `cb` to run `delay` after the current time.
+  /// Schedules a `kind` record with payload `a` at absolute time `t`
+  /// (clamped to now). Returns an id that can be passed to `cancel`.
+  EventId schedule_at(SimTime t, EventKind kind, std::uint64_t a = 0);
+
+  /// Schedules a `kind` record every `period`, first firing at
+  /// now + period. The returned id cancels the whole series. Throws
+  /// `std::invalid_argument` unless `period > 0`.
+  EventId schedule_periodic(SimDuration period, EventKind kind,
+                            std::uint64_t a = 0);
+
+  /// Closure variants, for callers outside the library.
+  EventId schedule_at(SimTime t, Callback cb);
   EventId schedule_after(SimDuration delay, Callback cb) {
     return schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(cb));
   }
-
-  /// Schedules `cb` every `period`, first firing at now + period.
-  /// The returned id cancels the whole series. Throws
-  /// `std::invalid_argument` unless `period > 0`.
   EventId schedule_periodic(SimDuration period, Callback cb);
 
   /// Cancels a pending (or periodic) event. Cancelling an already-fired
   /// one-shot event is a harmless no-op.
   void cancel(EventId id);
+  /// Cancels every pending event of `kind`.
+  void cancel_kind(EventKind kind);
 
   /// Runs until the queue is empty.
   void run();
@@ -84,106 +136,42 @@ class Simulator {
   [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
   [[nodiscard]] EventId next_event_id() const noexcept { return next_id_; }
   [[nodiscard]] std::size_t pending_events() const noexcept {
-    return queue_.size() - cancelled_.size();
+    return heap_.size() - cancelled_;
   }
 
   // --- checkpoint/restore support (src/ckpt) ---
-  //
-  // Closures cannot be serialized, so a snapshot records each pending
-  // event as (time, seq, id [, period]) and the restoring side re-attaches
-  // an equivalent callback under the SAME tuple. Together with
-  // restore_clock this realigns the restored run's (time, seq) ordering
-  // and every future id/seq allocation with the uninterrupted run, which
-  // is what makes a resumed replay bit-identical.
 
-  /// One live pending queue entry (cancelled carcasses are excluded).
-  struct PendingEvent {
-    SimTime time = 0;
-    std::uint64_t seq = 0;
-    EventId id = 0;
-    bool periodic = false;
-    SimDuration period = 0;  ///< valid when `periodic`
-  };
   /// All live pending events, ordered by (time, seq).
-  [[nodiscard]] std::vector<PendingEvent> pending_snapshot() const;
+  [[nodiscard]] std::vector<Event> pending() const;
 
   /// Restores the clock and allocation counters. Only meaningful on a
   /// fresh simulator (no events scheduled yet).
   void restore_clock(SimTime now, std::uint64_t next_seq, EventId next_id,
                      std::uint64_t processed);
 
-  /// Re-creates a pending one-shot under an exact (time, seq, id) tuple
-  /// from a snapshot. The tuple must predate the restored counters.
-  void restore_one_shot(SimTime t, std::uint64_t seq, EventId id,
-                        Callback cb);
-
-  /// Re-creates a periodic series whose next firing is the exact
-  /// (next_fire, seq, id) tuple from a snapshot; later firings re-arm
-  /// with fresh sequence numbers exactly as the uninterrupted run would.
-  void restore_periodic(SimTime next_fire, std::uint64_t seq, EventId id,
-                        SimDuration period, Callback cb);
+  /// Loads one pending record from a snapshot under its exact
+  /// (time, seq, id). The caller has validated it: a non-closure kind
+  /// and a tuple that predates the restored counters.
+  void restore_event(const Event& e);
 
  private:
-  struct Event {
-    SimTime time;
-    std::uint64_t seq;
-    EventId id;
-    // Ordered min-first by (time, seq).
-    friend bool operator>(const Event& a, const Event& b) noexcept {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
-  };
-
-  struct Periodic {
-    SimDuration period;
-    Callback callback;
-  };
-
+  void push(const Event& e);
+  /// Pops the head (the earliest (time, seq)).
+  Event pop();
   void dispatch(const Event& e);
+  /// Marks a live heap entry cancelled.
+  void kill(Event& e);
 
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
   std::uint64_t processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  /// Min-heap on (time, seq). A cancelled entry keeps its slot with
+  /// id 0 until it reaches the head.
+  std::vector<Event> heap_;
+  std::size_t cancelled_ = 0;
+  EventHandler* handlers_[kEventKindCount] = {};
   std::unordered_map<EventId, Callback> callbacks_;
-  std::unordered_map<EventId, Periodic> periodics_;
-  std::unordered_set<EventId> cancelled_;
 };
-
-/// One link of a cursor chain: runs at its scheduled time with the
-/// current cursor, and returns the next (cursor, timestamp) to continue
-/// the chain — or nothing to end it.
-using CursorStep =
-    std::function<std::optional<std::pair<std::size_t, SimTime>>(
-        std::size_t)>;
-
-/// Live position of a cursor chain, maintained by the chain itself when
-/// the caller passes one to schedule_cursor_chain / resume_cursor_chain.
-/// A checkpoint reads it to describe the chain's single pending event
-/// (the cursor it will run with); a restore re-creates the chain from it.
-struct CursorTracker {
-  EventId id = 0;         ///< pending event id (classifies the queue entry)
-  std::size_t index = 0;  ///< cursor the pending event will run with
-  SimTime at = 0;         ///< its scheduled timestamp
-  bool active = false;    ///< false once the chain ended
-};
-
-/// Schedules a self-continuing one-event-at-a-time cursor chain starting
-/// with cursor 0 at `first_at`. This owns the lifetime-sensitive pattern
-/// of the replay flow injector (fresh and checkpoint-resumed):
-/// the stored continuation holds only a weak self-reference — a strong
-/// one would form a shared_ptr cycle and leak it after every replay —
-/// while each scheduled event captures a strong reference, which is what
-/// keeps the chain alive across Simulator::run_until().
-void schedule_cursor_chain(Simulator& sim, SimTime first_at, CursorStep step,
-                           CursorTracker* tracker = nullptr);
-
-/// Re-creates a checkpointed cursor chain: the pending link is restored
-/// under its exact (at, seq, id) snapshot tuple and runs `step` with
-/// `index`; the chain then continues normally.
-void resume_cursor_chain(Simulator& sim, SimTime at, std::uint64_t seq,
-                         EventId id, std::size_t index, CursorStep step,
-                         CursorTracker* tracker = nullptr);
 
 }  // namespace lazyctrl::sim

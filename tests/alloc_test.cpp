@@ -11,9 +11,9 @@
 // perf regression.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
@@ -21,46 +21,13 @@
 #include "core/edge_switch.h"
 #include "net/packet.h"
 
-namespace {
-
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-}  // namespace
-
-// Counting pass-throughs. Sized/aligned variants funnel here; the
-// counter only ever increments, so a warmed-up region asserting a zero
-// delta cannot be fooled by free-list reuse.
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  ++g_alloc_count;
-  const std::size_t a = static_cast<std::size_t>(align);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+// Counting pass-throughs of every global operator new/delete, defined in
+// alloc_counter.cpp: kept out of this translation unit so their malloc/
+// free bodies are never inlined into a new-expression here (g++ would
+// then see free() on operator new's pointer and warn).
+namespace lazyctrl::test {
+std::uint64_t allocation_count() noexcept;
+}  // namespace lazyctrl::test
 
 namespace lazyctrl::core {
 namespace {
@@ -84,6 +51,16 @@ EdgeSwitch make_switch(GFibLayout layout) {
     sw.gfib().sync_peer(SwitchId{peer}, macs);
   }
   return sw;
+}
+
+TEST(AllocCounterTest, CountsEveryAllocation) {
+  // The zero-delta checks below are only meaningful while the counting
+  // replacements are the ones linked in.
+  const std::uint64_t before = test::allocation_count();
+  std::vector<int> v(100);
+  auto aligned = std::make_unique<std::aligned_storage_t<64, 64>>();
+  EXPECT_EQ(test::allocation_count() - before, 2u);
+  EXPECT_EQ(v.size(), 100u);
 }
 
 class DatapathAllocTest : public ::testing::TestWithParam<GFibLayout> {};
@@ -110,9 +87,9 @@ TEST_P(DatapathAllocTest, DecideBatchSteadyStateIsAllocationFree) {
 
   for (int warm = 0; warm < 8; ++warm) run_batch();  // size every buffer
 
-  const std::uint64_t before = g_alloc_count.load();
+  const std::uint64_t before = test::allocation_count();
   for (int iter = 0; iter < 2000; ++iter) run_batch();
-  const std::uint64_t after = g_alloc_count.load();
+  const std::uint64_t after = test::allocation_count();
   EXPECT_EQ(after - before, 0u)
       << "decide_batch allocated in steady state";
 }
@@ -135,9 +112,9 @@ TEST_P(DatapathAllocTest, SinglePacketDecideSteadyStateIsAllocationFree) {
 
   for (int warm = 0; warm < 512; ++warm) decide_one();
 
-  const std::uint64_t before = g_alloc_count.load();
+  const std::uint64_t before = test::allocation_count();
   for (int iter = 0; iter < 100'000; ++iter) decide_one();
-  const std::uint64_t after = g_alloc_count.load();
+  const std::uint64_t after = test::allocation_count();
   EXPECT_EQ(after - before, 0u) << "decide() allocated in steady state";
   EXPECT_GT(sink, 0u);  // the loop really produced candidates
 }

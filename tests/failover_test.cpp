@@ -80,6 +80,7 @@ TEST(FailureWheelTest, RingNeighbours) {
 TEST(FailureWheelTest, NoFailuresNoEvents) {
   sim::Simulator s;
   FailureWheel wheel(s, members5(), SwitchId{0}, {}, test_config());
+  wheel.claim_events();
   wheel.start();
   s.run_until(30 * kSecond);
   EXPECT_TRUE(wheel.events().empty());
@@ -88,6 +89,7 @@ TEST(FailureWheelTest, NoFailuresNoEvents) {
 TEST(FailureWheelTest, DetectsControlLinkFailureAndRelays) {
   sim::Simulator s;
   FailureWheel wheel(s, members5(), SwitchId{0}, {}, test_config());
+  wheel.claim_events();
   wheel.start();
   s.schedule_at(2 * kSecond, [&] { wheel.fail_control_link(SwitchId{2}); });
   s.run_until(30 * kSecond);
@@ -106,6 +108,7 @@ TEST(FailureWheelTest, DetectsControlLinkFailureAndRelays) {
 TEST(FailureWheelTest, ControlLinkRecoveryStopsRelay) {
   sim::Simulator s;
   FailureWheel wheel(s, members5(), SwitchId{0}, {}, test_config());
+  wheel.claim_events();
   wheel.start();
   s.schedule_at(2 * kSecond, [&] { wheel.fail_control_link(SwitchId{2}); });
   s.schedule_at(20 * kSecond, [&] { wheel.recover_control_link(SwitchId{2}); });
@@ -116,6 +119,7 @@ TEST(FailureWheelTest, ControlLinkRecoveryStopsRelay) {
 TEST(FailureWheelTest, DetectsPeerLinkFailure) {
   sim::Simulator s;
   FailureWheel wheel(s, members5(), SwitchId{0}, {}, test_config());
+  wheel.claim_events();
   wheel.start();
   s.schedule_at(kSecond, [&] {
     wheel.fail_peer_link(SwitchId{1}, SwitchId{2});
@@ -133,6 +137,7 @@ TEST(FailureWheelTest, DetectsPeerLinkFailure) {
 TEST(FailureWheelTest, PeerLinkAtDesignatedTriggersReelection) {
   sim::Simulator s;
   FailureWheel wheel(s, members5(), SwitchId{1}, {SwitchId{3}}, test_config());
+  wheel.claim_events();
   wheel.start();
   s.schedule_at(kSecond, [&] {
     wheel.fail_peer_link(SwitchId{1}, SwitchId{2});
@@ -146,6 +151,7 @@ TEST(FailureWheelTest, DetectsSwitchFailure) {
   Config cfg = test_config();
   cfg.switch_reboot_delay = 1000 * kSecond;  // keep it down for this test
   FailureWheel wheel(s, members5(), SwitchId{0}, {}, cfg);
+  wheel.claim_events();
   wheel.start();
   s.schedule_at(kSecond, [&] { wheel.fail_switch(SwitchId{3}); });
   s.run_until(30 * kSecond);
@@ -163,6 +169,7 @@ TEST(FailureWheelTest, DetectsSwitchFailure) {
 TEST(FailureWheelTest, SwitchRebootsAndResyncs) {
   sim::Simulator s;
   FailureWheel wheel(s, members5(), SwitchId{0}, {}, test_config());
+  wheel.claim_events();
   wheel.start();
   s.schedule_at(kSecond, [&] { wheel.fail_switch(SwitchId{3}); });
   s.run_until(60 * kSecond);
@@ -181,6 +188,7 @@ TEST(FailureWheelTest, DesignatedSwitchFailureReelects) {
   sim::Simulator s;
   FailureWheel wheel(s, members5(), SwitchId{2},
                      {SwitchId{4}, SwitchId{1}}, test_config());
+  wheel.claim_events();
   wheel.start();
   s.schedule_at(kSecond, [&] { wheel.fail_switch(SwitchId{2}); });
   s.run_until(10 * kSecond);
@@ -193,6 +201,7 @@ TEST(FailureWheelTest, DeadBackupSkippedInReelection) {
   cfg.switch_reboot_delay = 1000 * kSecond;
   FailureWheel wheel(s, members5(), SwitchId{2},
                      {SwitchId{4}, SwitchId{1}}, cfg);
+  wheel.claim_events();
   wheel.start();
   s.schedule_at(kSecond, [&] {
     wheel.fail_switch(SwitchId{4});
@@ -207,6 +216,7 @@ TEST(FailureWheelTest, DetectionWaitsForLossThreshold) {
   Config cfg = test_config();
   cfg.keepalive_loss_threshold = 5;
   FailureWheel wheel(s, members5(), SwitchId{0}, {}, cfg);
+  wheel.claim_events();
   wheel.start();
   s.schedule_at(0, [&] { wheel.fail_control_link(SwitchId{1}); });
   s.run_until(4 * kSecond);  // only 4 keep-alive periods elapsed
@@ -220,6 +230,7 @@ TEST(FailureWheelTest, DetectionWaitsForLossThreshold) {
 TEST(FailureWheelTest, TransientGlitchBelowThresholdNotReported) {
   sim::Simulator s;
   FailureWheel wheel(s, members5(), SwitchId{0}, {}, test_config());
+  wheel.claim_events();
   wheel.start();
   s.schedule_at(kSecond, [&] { wheel.fail_control_link(SwitchId{1}); });
   // Recovers after 2 periods, below the threshold of 3.
@@ -234,6 +245,7 @@ TEST(FailureWheelTest, TwoMemberRing) {
   sim::Simulator s;
   FailureWheel wheel(s, {SwitchId{0}, SwitchId{1}}, SwitchId{0}, {},
                      test_config());
+  wheel.claim_events();
   wheel.start();
   s.schedule_at(kSecond, [&] { wheel.fail_switch(SwitchId{1}); });
   s.run_until(8 * kSecond);
@@ -243,6 +255,7 @@ TEST(FailureWheelTest, TwoMemberRing) {
 TEST(FailureWheelTest, StopHaltsDetection) {
   sim::Simulator s;
   FailureWheel wheel(s, members5(), SwitchId{0}, {}, test_config());
+  wheel.claim_events();
   wheel.start();
   wheel.stop();
   wheel.fail_switch(SwitchId{1});

@@ -465,7 +465,9 @@ TEST(NetworkFenceTest, LazyCtrlRunsMatchOneFlowPerEvent) {
       Network net(topo, cfg);
       net.bootstrap(history);
       metrics[fenced].emplace(fenced_replay(net, trace, fenced));
-      if (!dynamic) EXPECT_EQ(net.metrics().grouping_update_count, 0u);
+      if (!dynamic) {
+        EXPECT_EQ(net.metrics().grouping_update_count, 0u);
+      }
     }
     EXPECT_TRUE(metrics[0]->identical_to(*metrics[1]))
         << metrics[0]->diff_report(*metrics[1]);

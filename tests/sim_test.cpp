@@ -1,14 +1,11 @@
-// Tests for the discrete-event simulator and latency channels.
+// Tests for the discrete-event simulator.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <memory>
-
+#include <functional>
 #include <stdexcept>
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/channel.h"
 #include "sim/simulator.h"
 
 namespace lazyctrl::sim {
@@ -114,44 +111,6 @@ TEST(SimulatorTest, PeriodicCanCancelItself) {
   EXPECT_EQ(fires, 2);
 }
 
-TEST(SimulatorTest, CursorChainStepsOneEventAtATime) {
-  Simulator s;
-  std::vector<std::pair<std::size_t, SimTime>> seen;
-  const SimTime times[] = {5, 20, 21, 40};
-  schedule_cursor_chain(
-      s, times[0],
-      [&](std::size_t i) -> std::optional<std::pair<std::size_t, SimTime>> {
-        seen.push_back({i, s.now()});
-        // Exactly one pending chain event at a time.
-        EXPECT_LE(s.pending_events(), 1u);
-        if (i + 1 >= 4) return std::nullopt;
-        return {{i + 1, times[i + 1]}};
-      });
-  s.run();
-  ASSERT_EQ(seen.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(seen[i].first, i);
-    EXPECT_EQ(seen[i].second, times[i]);
-  }
-}
-
-TEST(SimulatorTest, CursorChainEndsWhenDeadlineCutsIt) {
-  // A chain cut short by run_until leaves a pending link but must not
-  // keep the simulator from finishing; destroying the simulator reclaims
-  // the stored continuation (the chain holds no strong self-reference).
-  Simulator s;
-  int steps = 0;
-  schedule_cursor_chain(
-      s, 0,
-      [&](std::size_t i) -> std::optional<std::pair<std::size_t, SimTime>> {
-        ++steps;
-        return {{i + 1, s.now() + 100}};
-      });
-  s.run_until(250);  // fires links at t=0, 100, 200; link at 300 pends
-  EXPECT_EQ(steps, 3);
-  EXPECT_EQ(s.pending_events(), 1u);
-}
-
 TEST(SimulatorTest, RunUntilAdvancesClockWhenIdle) {
   Simulator s;
   s.run_until(1234);
@@ -199,42 +158,6 @@ TEST(SimulatorTest, EventsScheduledDuringRunAreExecuted) {
   EXPECT_EQ(depth, 5);
 }
 
-TEST(ChannelTest, DeliversAfterLatency) {
-  Simulator s;
-  Channel ch(s, 100);
-  SimTime delivered_at = -1;
-  s.schedule_at(50, [&] {
-    ch.deliver([&] { delivered_at = s.now(); });
-  });
-  s.run();
-  EXPECT_EQ(delivered_at, 150);
-  EXPECT_EQ(ch.delivered_count(), 1u);
-}
-
-TEST(ChannelTest, DropsWhenDown) {
-  Simulator s;
-  Channel ch(s, 10);
-  ch.set_up(false);
-  bool delivered = false;
-  EXPECT_FALSE(ch.deliver([&] { delivered = true; }));
-  s.run();
-  EXPECT_FALSE(delivered);
-  EXPECT_EQ(ch.dropped_count(), 1u);
-  EXPECT_EQ(ch.delivered_count(), 0u);
-}
-
-TEST(ChannelTest, RecoversAfterSetUp) {
-  Simulator s;
-  Channel ch(s, 10);
-  ch.set_up(false);
-  ch.deliver([] {});
-  ch.set_up(true);
-  bool delivered = false;
-  EXPECT_TRUE(ch.deliver([&] { delivered = true; }));
-  s.run();
-  EXPECT_TRUE(delivered);
-}
-
 TEST(SimulatorTest, NextEventTimeEmptyQueue) {
   Simulator s;
   EXPECT_EQ(s.next_event_time(), Simulator::kNoPendingEvent);
@@ -258,134 +181,112 @@ TEST(SimulatorTest, NextEventTimeSkipsCancelledEvents) {
   EXPECT_EQ(s.pending_events(), 1u);
 }
 
-// --- batched delivery ---
+// --- data records ---
 
-TEST(ChannelTest, BatchDeliversOnceAfterLatency) {
+/// Logs every record it is handed.
+struct RecordingHandler : EventHandler {
+  std::vector<Event> seen;
+  void on_event(const Event& e) override { seen.push_back(e); }
+};
+
+TEST(SimulatorTest, RecordsReachTheHandlerOfTheirKind) {
   Simulator s;
-  Channel ch(s, 100);
-  SimTime delivered_at = -1;
-  std::size_t delivered_count = 0;
-  int callback_runs = 0;
-  s.schedule_at(50, [&] {
-    EXPECT_TRUE(ch.deliver_batch(8, [&](std::size_t n) {
-      delivered_at = s.now();
-      delivered_count = n;
-      ++callback_runs;
-    }));
-  });
+  RecordingHandler migrations;
+  RecordingHandler cursor;
+  s.set_handler(EventKind::kMigration, &migrations);
+  s.set_handler(EventKind::kFlowCursor, &cursor);
+  s.schedule_at(20, EventKind::kFlowCursor, 7);
+  s.schedule_at(10, EventKind::kMigration, 3);
   s.run();
-  EXPECT_EQ(delivered_at, 150);
-  EXPECT_EQ(delivered_count, 8u);
-  EXPECT_EQ(callback_runs, 1);  // ONE event for the whole batch
-  EXPECT_EQ(ch.delivered_count(), 8u);
+  ASSERT_EQ(migrations.seen.size(), 1u);
+  EXPECT_EQ(migrations.seen[0].a, 3u);
+  EXPECT_EQ(migrations.seen[0].time, 10);
+  ASSERT_EQ(cursor.seen.size(), 1u);
+  EXPECT_EQ(cursor.seen[0].a, 7u);
+  EXPECT_EQ(s.processed_events(), 2u);
 }
 
-TEST(ChannelTest, BatchDropsAllWhenDown) {
+TEST(SimulatorTest, RecordsAndClosuresShareOneOrder) {
+  // Same timestamp: scheduling order decides, whatever the event type.
   Simulator s;
-  Channel ch(s, 10);
-  ch.set_up(false);
-  bool delivered = false;
-  EXPECT_FALSE(ch.deliver_batch(5, [&](std::size_t) { delivered = true; }));
+  std::vector<int> order;
+  struct Handler : EventHandler {
+    std::vector<int>* order;
+    void on_event(const Event& e) override {
+      order->push_back(static_cast<int>(e.a));
+    }
+  } h;
+  h.order = &order;
+  s.set_handler(EventKind::kScriptEvent, &h);
+  s.schedule_at(5, EventKind::kScriptEvent, 0);
+  s.schedule_at(5, [&] { order.push_back(1); });
+  s.schedule_at(5, EventKind::kScriptEvent, 2);
   s.run();
-  EXPECT_FALSE(delivered);
-  EXPECT_EQ(ch.dropped_count(), 5u);
-  EXPECT_EQ(ch.delivered_count(), 0u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(ChannelTest, EmptyBatchIsNoop) {
+TEST(SimulatorTest, PeriodicRecordReArmsAndCancels) {
   Simulator s;
-  Channel ch(s, 10);
-  bool delivered = false;
-  EXPECT_TRUE(ch.deliver_batch(0, [&](std::size_t) { delivered = true; }));
-  s.run();
-  EXPECT_FALSE(delivered);
-  EXPECT_EQ(ch.delivered_count(), 0u);
-  EXPECT_EQ(s.processed_events(), 0u);
-}
-
-TEST(ChannelTest, BatchOrderingMatchesSingleDeliveries) {
-  // A batch scheduled before later singles must deliver before them, and
-  // repeated runs are deterministic: batching only coalesces the event,
-  // never reorders across events.
-  std::vector<std::string> order_a;
-  std::vector<std::string> order_b;
-  for (auto* order : {&order_a, &order_b}) {
-    Simulator s;
-    Channel ch(s, 10);
-    ch.deliver_batch(3, [order](std::size_t n) {
-      order->push_back("batch" + std::to_string(n));
-    });
-    ch.deliver([order] { order->push_back("single1"); });
-    ch.deliver([order] { order->push_back("single2"); });
-    s.run();
+  RecordingHandler h;
+  s.set_handler(EventKind::kStatsWindow, &h);
+  const EventId id = s.schedule_periodic(10, EventKind::kStatsWindow);
+  s.run_until(35);
+  ASSERT_EQ(h.seen.size(), 3u);  // t = 10, 20, 30
+  for (const Event& e : h.seen) {
+    EXPECT_EQ(e.id, id);
+    EXPECT_EQ(e.period, 10);
   }
-  EXPECT_EQ(order_a,
-            (std::vector<std::string>{"batch3", "single1", "single2"}));
-  EXPECT_EQ(order_a, order_b);
+  EXPECT_LT(h.seen[0].seq, h.seen[1].seq);  // fresh seq per firing
+  s.cancel(id);
+  s.run_until(100);
+  EXPECT_EQ(h.seen.size(), 3u);
+  EXPECT_EQ(s.pending_events(), 0u);
 }
 
-
-// --- EventFn (small-buffer-optimized event callback) ---
-
-TEST(EventFnTest, InvokesInlineAndMoves) {
-  int hits = 0;
-  EventFn f([&hits] { ++hits; });
-  ASSERT_TRUE(static_cast<bool>(f));
-  f();
-  EXPECT_EQ(hits, 1);
-  EventFn g = std::move(f);
-  EXPECT_FALSE(static_cast<bool>(f));  // NOLINT(bugprone-use-after-move)
-  g();
-  EXPECT_EQ(hits, 2);
-}
-
-TEST(EventFnTest, AcceptsMoveOnlyCaptures) {
-  // std::function required copyable callables; the simulator's callback
-  // type must not — arena handles and unique_ptrs ride in captures.
-  auto owned = std::make_unique<int>(41);
-  int got = 0;
-  EventFn f([p = std::move(owned), &got] { got = *p + 1; });
-  f();
-  EXPECT_EQ(got, 42);
-}
-
-TEST(EventFnTest, OversizedCapturesFallBackToHeap) {
-  // Captures beyond the inline buffer still work (heap fallback keeps
-  // full generality); the destructor must run exactly once.
-  struct Big {
-    std::array<std::uint64_t, 32> payload{};  // 256 B > kInlineBytes
-    std::shared_ptr<int> live;
-  };
-  Big big;
-  big.payload[7] = 99;
-  big.live = std::make_shared<int>(0);
-  std::weak_ptr<int> watch = big.live;
-  std::uint64_t seen = 0;
-  {
-    EventFn f([big = std::move(big), &seen] { seen = big.payload[7]; });
-    static_assert(sizeof(Big) > EventFn::kInlineBytes);
-    f();
-    EXPECT_EQ(seen, 99u);
-    EXPECT_FALSE(watch.expired());
-  }
-  EXPECT_TRUE(watch.expired());  // destroyed with the EventFn
-}
-
-TEST(EventFnTest, ScheduledEventsRunThroughEventFn) {
-  // End-to-end through the simulator: a scheduled move-only callback
-  // fires once and periodic callbacks survive repeated invocation.
+TEST(SimulatorTest, PendingListsLiveRecordsInFiringOrder) {
   Simulator s;
-  auto token = std::make_unique<int>(5);
-  int total = 0;
-  s.schedule_at(10, [t = std::move(token), &total] { total += *t; });
-  int periodic_runs = 0;
-  const EventId p = s.schedule_periodic(7, [&periodic_runs] {
-    ++periodic_runs;
-  });
-  s.run_until(24);
-  s.cancel(p);
-  EXPECT_EQ(total, 5);
-  EXPECT_EQ(periodic_runs, 3);  // t = 7, 14, 21
+  s.schedule_at(30, EventKind::kMigration, 1);
+  const EventId dead = s.schedule_at(10, EventKind::kMigration, 2);
+  s.schedule_at(20, EventKind::kMigration, 3);
+  s.schedule_periodic(20, [] {});
+  s.cancel(dead);
+  const std::vector<Event> p = s.pending();
+  ASSERT_EQ(p.size(), 3u);
+  EXPECT_EQ(p[0].a, 3u);
+  EXPECT_EQ(p[1].kind, EventKind::kClosure);  // same time, scheduled later
+  EXPECT_EQ(p[1].period, 20);
+  EXPECT_EQ(p[2].a, 1u);
+}
+
+TEST(SimulatorTest, RestoredRecordsFireUnderTheirTuples) {
+  // A queue dumped from one simulator and loaded into a fresh one fires
+  // in the same order with the same ids, and later allocations continue
+  // from the restored counters.
+  Simulator a;
+  a.schedule_at(10, EventKind::kMigration, 1);
+  a.schedule_periodic(7, EventKind::kStatsWindow);
+  a.schedule_at(10, EventKind::kMigration, 2);
+
+  Simulator b;
+  b.restore_clock(a.now(), a.next_seq(), a.next_event_id(),
+                  a.processed_events());
+  for (const Event& e : a.pending()) b.restore_event(e);
+
+  RecordingHandler ha;
+  RecordingHandler hb;
+  for (auto [sim, h] : {std::pair{&a, &ha}, std::pair{&b, &hb}}) {
+    sim->set_handler(EventKind::kMigration, h);
+    sim->set_handler(EventKind::kStatsWindow, h);
+    sim->schedule_at(14, EventKind::kMigration, 9);
+    sim->run_until(30);
+  }
+  ASSERT_EQ(ha.seen.size(), hb.seen.size());
+  for (std::size_t i = 0; i < ha.seen.size(); ++i) {
+    EXPECT_EQ(ha.seen[i].time, hb.seen[i].time);
+    EXPECT_EQ(ha.seen[i].seq, hb.seen[i].seq);
+    EXPECT_EQ(ha.seen[i].id, hb.seen[i].id);
+    EXPECT_EQ(ha.seen[i].a, hb.seen[i].a);
+  }
 }
 
 }  // namespace

@@ -13,7 +13,8 @@
 //                            bit-identical to the first, so the default
 //                            run doubles as a determinism check
 //   --json-dir DIR           where BENCH_*.json lands (overrides env
-//                            LAZYCTRL_BENCH_JSON_DIR)
+//                            LAZYCTRL_BENCH_JSON_DIR); created before the
+//                            first repetition if missing
 //   --print-spec             print the canonical serialized spec and exit
 //   --trace FILE             record sim-time/wall-clock trace events during
 //                            the final repetition and write them to FILE in
@@ -379,6 +380,18 @@ int main(int argc, char** argv) {
   if (print_spec) {
     std::fputs(scenario::serialize_scenario(spec).c_str(), stdout);
     return 0;
+  }
+
+  // The harness writes the JSON only after the last repetition, so an
+  // unusable directory must fail now, not after the whole run.
+  if (const char* dir = std::getenv("LAZYCTRL_BENCH_JSON_DIR")) {
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec || !std::filesystem::is_directory(dir)) {
+      std::fprintf(stderr, "json dir %s: cannot create it%s%s\n", dir,
+                   ec ? ": " : "", ec ? ec.message().c_str() : "");
+      return 2;
+    }
   }
 
   // Mirror the harness's repetition AND warmup overrides so the
