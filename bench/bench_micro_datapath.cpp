@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "bloom/bloom_bank.h"
 #include "bloom/bloom_filter.h"
+#include "bloom/sliced_bloom_bank.h"
 #include "common/rng.h"
 #include "core/edge_switch.h"
 #include "core/network.h"
@@ -153,16 +155,16 @@ int body(benchx::BenchReport& report) {
     // bit-sliced bank ANDs k=8 peer-mask slices. Candidate sets are
     // bit-identical (tests/sliced_bank_test.cpp); only the memory walk
     // differs, which is exactly what this kernel times.
-    core::GFib linear(BloomParameters{16384, 8}, core::GFibLayout::kLinear);
-    core::GFib sliced(BloomParameters{16384, 8}, core::GFibLayout::kSliced);
+    BloomBank linear(BloomParameters{16384, 8});
+    bloom::SlicedBloomBank sliced(BloomParameters{16384, 8});
     std::uint32_t host = 0;
     for (std::uint32_t peer = 1; peer <= 45; ++peer) {
       std::vector<MacAddress> macs;
       for (int h = 0; h < 24; ++h) {
         macs.push_back(MacAddress::for_host(host++));
       }
-      linear.sync_peer(SwitchId{peer}, macs);
-      sliced.sync_peer(SwitchId{peer}, macs);
+      linear.build_filter(SwitchId{peer}, macs);
+      sliced.append_filter(SwitchId{peer}, macs);
     }
     std::vector<SwitchId> hits;
     hits.reserve(64);
@@ -238,22 +240,28 @@ int body(benchx::BenchReport& report) {
   }
 
   {
-    // Fig. 5 decision: local hosts + a 45-peer G-FIB.
+    // Fig. 5 decision: local hosts + the switch's view of a 46-member
+    // group bank (itself and 45 peers).
     core::Config cfg;
     core::EdgeSwitch sw(SwitchId{0}, IpAddress::for_switch(0),
                         MacAddress{0x060000000000ULL}, cfg);
+    core::GFibBank bank(
+        BloomParameters{cfg.fib.bloom_bits, cfg.fib.bloom_hashes},
+        cfg.fib.layout);
+    bank.clear(46);
     std::uint32_t host = 0;
-    for (int h = 0; h < 24; ++h) {
-      sw.lfib().learn(MacAddress::for_host(host), HostId{host}, TenantId{0});
-      ++host;
-    }
-    for (std::uint32_t peer = 1; peer <= 45; ++peer) {
+    for (std::uint32_t member = 0; member <= 45; ++member) {
       std::vector<MacAddress> macs;
       for (int h = 0; h < 24; ++h) {
+        if (member == 0) {
+          sw.lfib().learn(MacAddress::for_host(host), HostId{host},
+                          TenantId{0});
+        }
         macs.push_back(MacAddress::for_host(host++));
       }
-      sw.gfib().sync_peer(SwitchId{peer}, macs);
+      bank.append(SwitchId{member}, macs);
     }
+    sw.gfib().attach(&bank);
     net::Packet p;
     p.tenant = TenantId{0};
     p.src_mac = MacAddress::for_host(0);

@@ -5,9 +5,9 @@
 #include <cstdio>
 #include <vector>
 
-#include "bloom/bloom_filter.h"
 #include "bench_common.h"
-#include "core/gfib.h"
+#include "bloom/bloom_bank.h"
+#include "bloom/sliced_bloom_bank.h"
 #include "harness.h"
 
 using namespace lazyctrl;
@@ -22,20 +22,21 @@ int body(benchx::BenchReport& report) {
   std::printf("%-12s %16s %18s %18s %14s\n", "group size", "filters/switch",
               "linear B/switch", "sliced B/switch", "measured FP");
   for (std::size_t group : {8u, 16u, 24u, 32u, 46u, 64u, 92u}) {
-    // The paper's §V-D storage claim is about the linear per-peer layout;
-    // the bit-sliced layout holds the same bits transposed, so its
-    // footprint is reported alongside (rows x byte-packed peer stride,
-    // stepping at 8-peer boundaries).
-    core::GFib gfib(params, core::GFibLayout::kLinear);
-    core::GFib sliced(params, core::GFibLayout::kSliced);
+    // One switch's G-FIB: a filter per peer. The paper's §V-D storage
+    // claim is about the linear per-peer layout; the bit-sliced layout
+    // holds the same bits transposed, so its footprint is reported
+    // alongside (rows x byte-packed peer stride, stepping at 8-peer
+    // boundaries).
+    BloomBank gfib(params);
+    bloom::SlicedBloomBank sliced(params);
     std::uint32_t next_host = 0;
     for (std::uint32_t peer = 1; peer < group; ++peer) {
       std::vector<MacAddress> macs;
       for (std::size_t h = 0; h < hosts_per_switch; ++h) {
         macs.push_back(MacAddress::for_host(next_host++));
       }
-      gfib.sync_peer(SwitchId{peer}, macs);
-      sliced.sync_peer(SwitchId{peer}, macs);
+      gfib.build_filter(SwitchId{peer}, macs);
+      sliced.append_filter(SwitchId{peer}, macs);
     }
 
     // Measured FP: probe MACs never inserted anywhere; any hit is false.
@@ -47,14 +48,14 @@ int body(benchx::BenchReport& report) {
       hits.clear();
       gfib.query_into(BloomHash::of(unknown), hits);
       false_hits += hits.size();
-      filter_probes += gfib.peer_count();
+      filter_probes += gfib.filter_count();
     }
     const double fp = filter_probes
                           ? static_cast<double>(false_hits) /
                                 static_cast<double>(filter_probes)
                           : 0.0;
     std::printf("%-12zu %16zu %18zu %18zu %13.4f%%\n", group,
-                gfib.peer_count(), gfib.storage_bytes(),
+                gfib.filter_count(), gfib.storage_bytes(),
                 sliced.storage_bytes(), 100.0 * fp);
     const std::string suffix = "_group" + std::to_string(group);
     report.memory_bytes("gfib_bytes_per_switch" + suffix,

@@ -1,9 +1,11 @@
-// BloomBank: a keyed collection of Bloom filters, one per peer switch.
+// BloomBank: a keyed collection of Bloom filters, one per switch.
 //
-// This is the storage layout of the paper's G-FIB (§III-D2): for a group of
-// S switches, every member keeps S-1 filters, each summarising one peer's
-// L-FIB. A lookup probes every filter and returns the vector of peers that
-// *might* host the queried MAC (false positives possible, negatives exact).
+// This is the linear storage layout of the paper's G-FIB (§III-D2): one
+// independent filter per switch, each summarising that switch's L-FIB.
+// The simulator keeps one bank per group, holding every member's filter
+// (core::GFibBank); a member's query skips its own filter. A lookup
+// probes every filter and returns the switches that *might* host the
+// queried MAC (false positives possible, negatives exact).
 //
 // Filters are stored in a vector sorted by SwitchId, so the hot-path scan
 // is a linear pass in ascending id order: results come out deterministic
@@ -31,29 +33,22 @@ class BloomBank {
   /// Builds and installs a filter for `peer` from its host MAC list.
   void build_filter(SwitchId peer, const std::vector<MacAddress>& hosts);
 
-  /// Removes the filter for `peer` (e.g. the peer left the group).
-  void remove_filter(SwitchId peer);
-
   void clear();
 
-  /// Appends the matching peers (ascending id order) to `out` without
-  /// clearing it, reusing the caller's capacity — the ONLY query form, so
-  /// the steady-state datapath is allocation-free by construction (the
-  /// old vector-returning query() allocated per call and is gone).
-  /// `h` is the precomputed hash of the queried MAC, so probing S-1
-  /// filters costs one mixing pass instead of S-1.
-  void query_into(BloomHash h, std::vector<SwitchId>& out) const {
+  /// Appends the matching peers (ascending id order, `skip` left out)
+  /// to `out` without clearing it, reusing the caller's capacity — the
+  /// ONLY query form, so the steady-state datapath is allocation-free by
+  /// construction. `h` is the precomputed hash of the queried MAC, so
+  /// probing every filter costs one mixing pass.
+  void query_into(BloomHash h, std::vector<SwitchId>& out,
+                  SwitchId skip = SwitchId::invalid()) const {
     for (const Entry& e : filters_) {
-      if (e.filter.may_contain(h)) out.push_back(e.peer);
+      if (e.peer != skip && e.filter.may_contain(h)) out.push_back(e.peer);
     }
   }
 
   [[nodiscard]] bool has_filter(SwitchId peer) const {
     return find(peer) != nullptr;
-  }
-  /// Appends the installed peers (ascending id order) to `out`.
-  void peers_into(std::vector<SwitchId>& out) const {
-    for (const Entry& e : filters_) out.push_back(e.peer);
   }
   [[nodiscard]] const BloomFilter* filter(SwitchId peer) const;
   [[nodiscard]] std::size_t filter_count() const noexcept {

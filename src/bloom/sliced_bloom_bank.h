@@ -10,33 +10,29 @@
 // — O(k) cache lines per scan regardless of group size, extracted in
 // ascending SwitchId order by construction.
 //
-// Rows are packed at BYTE granularity (stride = ⌈peer capacity / 8⌉
-// bytes, grown 8 peers at a time and shrunk as peers leave), not at word
-// granularity: with 64-bit rows a 16384-bit filter space costs 128 KB
-// per bank no matter how small the group, and a fleet of mostly-idle
-// banks evicts the rest of the datapath from cache — measured as a ~25%
-// end-to-end replay slowdown at 18-switch groups. Byte packing brings
-// the transposed footprint to m·⌈S/8⌉ bytes vs the linear layout's
-// S·m/8: parity at 8-peer multiples, up to the byte-rounding factor 8/S
-// above it for tiny groups (a 2-peer bank costs 4× linear), while the
-// scan still reads each row as one unaligned 64-bit load per 64-peer
-// chunk. Rows carry 8 trailing padding bytes so the last chunk's load is
-// always in-bounds; bits beyond the live slot count are masked.
+// Rows are packed at BYTE granularity (stride = ⌈columns / 8⌉ bytes,
+// sized once per rebuild by reserve_columns and grown 8 columns at a
+// time past that), not at word granularity: with 64-bit rows a
+// 16384-bit filter space costs 128 KB per bank no matter how small the
+// group, and a fleet of mostly-idle banks evicts the rest of the
+// datapath from cache. Byte packing brings the transposed footprint to
+// m·⌈S/8⌉ bytes vs the linear layout's S·m/8: parity at 8-column
+// multiples, up to the byte-rounding factor 8/S above it for tiny groups,
+// while the scan still reads each row as one unaligned 64-bit load per
+// 64-column chunk. Rows carry 8 trailing padding bytes so the last
+// chunk's load is always in-bounds; bits beyond the live column count
+// are masked.
 //
-// Equivalence: peer slots share one filter geometry (`BloomParameters`,
+// Equivalence: columns share one filter geometry (`BloomParameters`,
 // rounded exactly like `BloomFilter`) and the probe sequence is the same
 // Kirsch-Mitzenmacher walk over the same `BloomHash`, so for any key the
 // candidate set — including false positives — is bit-identical to a
-// linear `BloomBank` built from the same per-peer host lists. The
-// randomized property test in tests/sliced_bank_test.cpp enforces this
-// across build, peer add/remove and migration-style rebuild sequences.
+// linear `BloomBank` built from the same per-switch host lists
+// (tests/sliced_bank_test.cpp).
 //
-// Incremental maintenance: peer columns are kept in ascending SwitchId
-// order, so adding or removing a peer inserts/deletes one bit column — a
-// byte-shift pass over the slice table, O(m x stride) byte ops — instead
-// of re-transposing every peer's host list (which the bank could not
-// even do: it does not retain host lists). This is what keeps DGM
-// migration rebuilds cheap under the sliced layout.
+// Maintenance is append-only: core::Network rebuilds a group's bank from
+// scratch in ascending SwitchId order, so every new column is the last
+// one and is written in place — no column is ever shifted or removed.
 #pragma once
 
 #include <bit>
@@ -52,9 +48,8 @@
 namespace lazyctrl::bloom {
 
 // Slot-to-bit addressing writes byte s/8 bit s%8 and reads rows back
-// through unaligned 64-bit loads (plus partial low-byte stores in the
-// column-shift fast paths) — a mapping that only agrees between the two
-// access widths on little-endian hosts. Fail the build rather than
+// through unaligned 64-bit loads — a mapping that only agrees between the
+// two access widths on little-endian hosts. Fail the build rather than
 // silently corrupt candidate sets elsewhere.
 static_assert(std::endian::native == std::endian::little,
               "SlicedBloomBank's byte-packed rows assume little-endian; "
@@ -64,28 +59,24 @@ class SlicedBloomBank {
  public:
   explicit SlicedBloomBank(BloomParameters per_filter_params = {});
 
-  /// Builds (or rebuilds) the column summarising `peer`'s host MAC list.
-  void build_filter(SwitchId peer, const std::vector<MacAddress>& hosts);
-
-  /// Removes `peer`'s column (e.g. the peer left the group). Shrinks the
-  /// row stride once at least a whole spare byte (8 slots) of slack
-  /// opens up, so a bank that lost most of its group does not keep its
-  /// high-water footprint.
-  void remove_filter(SwitchId peer);
+  /// Appends the column summarising `peer`'s host MAC list. `peer` must
+  /// be greater than every installed peer (ascending-order rebuilds).
+  void append_filter(SwitchId peer, const std::vector<MacAddress>& hosts);
 
   /// Drops every column and resets the stride; the heap buffer is kept
   /// for the typical clear-then-rebuild cycle.
   void clear();
 
-  /// Pre-sizes the row stride for `n` columns so a bulk rebuild performs
-  /// at most one re-layout instead of one per 8 appended peers. Never
-  /// shrinks (removal handles that).
+  /// Pre-sizes the row stride for `n` columns so a rebuild lays the
+  /// table out once instead of once per 8 appended columns.
   void reserve_columns(std::size_t n);
 
-  /// Appends every peer whose column reports possible membership of the
-  /// key hashed into `h` (ascending SwitchId order) to `out` without
-  /// clearing it. Allocation-free given spare capacity in `out`.
-  void query_into(BloomHash h, std::vector<SwitchId>& out) const {
+  /// Appends every peer except `skip` whose column reports possible
+  /// membership of the key hashed into `h` (ascending SwitchId order) to
+  /// `out` without clearing it. Allocation-free given spare capacity in
+  /// `out`.
+  void query_into(BloomHash h, std::vector<SwitchId>& out,
+                  SwitchId skip = SwitchId::invalid()) const {
     const std::size_t n = peers_.size();
     if (n == 0) return;
     const std::size_t stride = bytes_per_row_;
@@ -108,13 +99,13 @@ class SlicedBloomBank {
       while (acc != 0) {
         const unsigned bit =
             static_cast<unsigned>(std::countr_zero(acc));
-        out.push_back(peers_[c * 8 + bit]);
+        const SwitchId peer = peers_[c * 8 + bit];
+        if (peer != skip) out.push_back(peer);
         acc &= acc - 1;
       }
     }
   }
 
-  [[nodiscard]] bool has_filter(SwitchId peer) const;
   /// Peers with an installed column, ascending id order.
   [[nodiscard]] const std::vector<SwitchId>& peers() const noexcept {
     return peers_;
@@ -154,13 +145,8 @@ class SlicedBloomBank {
         (static_cast<unsigned __int128>(idx) * bits_) >> 64);
   }
 
-  /// Rank of `peer` among installed columns (== its slot when present).
-  [[nodiscard]] std::size_t rank_of(SwitchId peer) const;
-
-  void set_row_stride(std::size_t new_stride);
-  void insert_column(std::size_t slot);
-  void remove_column(std::size_t slot);
-  void clear_column(std::size_t slot);
+  /// Re-lays the table out at a wider stride.
+  void grow_row_stride(std::size_t new_stride);
 
   BloomParameters params_;
   std::size_t bits_;    ///< rounded-up bit positions == slice rows

@@ -657,7 +657,7 @@ std::unique_ptr<scenario::ScenarioRunner> StateAccess::restore_runner(
   }
   r.leave_section();
 
-  // G-FIBs: derived state. Each peer filter is a pure function of the
+  // G-FIBs: derived state. Each group bank is a pure function of the
   // (restored) topology attachment and the hidden-host sets, so a fresh
   // rebuild reproduces the uninterrupted run's bank contents bit for
   // bit. The dissemination-counter bumps this makes are overwritten by
@@ -665,8 +665,11 @@ std::unique_ptr<scenario::ScenarioRunner> StateAccess::restore_runner(
   if (r.ok() && net->config_.mode == core::ControlMode::kLazyCtrl &&
       net->controller_.grouping().group_count > 0) {
     const auto members = net->controller_.grouping().members();
-    for (const auto& group : members) {
-      if (!group.empty()) net->rebuild_group_fib(group);
+    for (std::size_t gi = 0; gi < members.size(); ++gi) {
+      if (!members[gi].empty()) {
+        net->rebuild_group_fib(GroupId{static_cast<std::uint32_t>(gi)},
+                               members[gi]);
+      }
     }
   }
 

@@ -16,10 +16,11 @@
 // scheduled from outside the library — has no description and fails the
 // save with a diagnosed error.
 //
-// G-FIBs are NOT serialized: a peer filter is a pure function of the
-// member's current host set and the hidden-host sets (the delta-sync
-// invariant in Network::rebuild_group_fib), so the restorer rebuilds
-// them bit-identically from the restored topology + grouping.
+// G-FIBs are NOT serialized: each group's bank is a pure function of its
+// members' current host sets and the hidden-host sets
+// (Network::rebuild_group_fib builds it from scratch from exactly those),
+// so the restorer rebuilds them bit-identically from the restored
+// topology + grouping.
 //
 // File format and robustness contract: see ckpt/io.h. The restore path
 // validates every count and enum against live state and never crashes

@@ -41,6 +41,7 @@ class EdgeSwitch {
 
   [[nodiscard]] LFib& lfib() noexcept { return lfib_; }
   [[nodiscard]] const LFib& lfib() const noexcept { return lfib_; }
+  /// The view of this switch's group bank (Network attaches it).
   [[nodiscard]] GFib& gfib() noexcept { return gfib_; }
   [[nodiscard]] const GFib& gfib() const noexcept { return gfib_; }
   [[nodiscard]] openflow::FlowTable& flow_table() noexcept { return table_; }

@@ -295,7 +295,7 @@ void InvariantChecker::check_gfib(const Network& net, Collector& out) {
   if (grouping.group_count == 0) return;
 
   // Hosts bucketed by attachment once; the no-false-negative pass below
-  // walks each group's hosts per member.
+  // walks each member's hosts.
   std::vector<std::vector<const topo::HostInfo*>> hosts_on(
       net.switches_.size());
   for (const topo::HostInfo& h : net.topology_.hosts()) {
@@ -313,7 +313,6 @@ void InvariantChecker::check_gfib(const Network& net, Collector& out) {
   }
 
   const std::vector<std::vector<SwitchId>> members = grouping.members();
-  std::vector<SwitchId> peers;
   std::vector<SwitchId> candidates;
   for (std::size_t gi = 0; gi < members.size(); ++gi) {
     const std::vector<SwitchId>& group = members[gi];
@@ -326,6 +325,16 @@ void InvariantChecker::check_gfib(const Network& net, Collector& out) {
               "group " + u64s(gi) + "'s designated switch " +
                   u64s(designated.value()) + " is not one of its members");
     }
+    const GFibBank* bank =
+        gi < net.gfib_banks_.size() ? net.gfib_banks_[gi].get() : nullptr;
+    if (bank == nullptr || bank->member_count() != group.size()) {
+      out.add("gfib consistency",
+              "group " + u64s(gi) + " has " + u64s(group.size()) +
+                  " members but its G-FIB bank holds " +
+                  u64s(bank == nullptr ? 0 : bank->member_count()) +
+                  " filters");
+      continue;
+    }
     for (const SwitchId member : group) {
       const EdgeSwitch& sw = *net.switches_[member.value()];
       if (sw.designated() != designated) {
@@ -334,37 +343,32 @@ void InvariantChecker::check_gfib(const Network& net, Collector& out) {
                     u64s(sw.designated().value()) + " but its group (" +
                     u64s(gi) + ") elected " + u64s(designated.value()));
       }
-      // Peer set == co-members (both sides ascending by construction).
-      peers.clear();
-      sw.gfib().peers_into(peers);
-      std::vector<SwitchId> expected;
-      expected.reserve(group.size() - 1);
-      for (const SwitchId p : group) {
-        if (p != member) expected.push_back(p);
-      }
-      if (peers != expected) {
+      if (!bank->has_member(member)) {
         out.add("gfib consistency",
-                "switch " + u64s(member.value()) + " has " +
-                    u64s(peers.size()) + " G-FIB peers but its group has " +
-                    u64s(expected.size()) + " co-members");
-        continue;
+                "group " + u64s(gi) + "'s G-FIB bank holds no filter for "
+                "member " + u64s(member.value()));
       }
-      // No false negatives: every visible host on a peer must be matched
-      // by that peer's filter (Bloom filters may over-match, never
-      // under-match).
-      for (const SwitchId peer : expected) {
-        for (const topo::HostInfo* h : hosts_on[peer.value()]) {
-          if (net.host_hidden(h->id)) continue;
-          candidates.clear();
-          sw.gfib().query_into(BloomHash::of(h->mac), candidates);
-          if (std::find(candidates.begin(), candidates.end(), peer) ==
-              candidates.end()) {
-            out.add("gfib consistency",
-                    "G-FIB of switch " + u64s(member.value()) +
-                        " misses host " + u64s(h->id.value()) +
-                        " on peer switch " + u64s(peer.value()) +
-                        " (Bloom false negative — stale filter)");
-          }
+      if (sw.gfib().bank() != bank) {
+        out.add("gfib consistency",
+                "switch " + u64s(member.value()) +
+                    " views another bank than its group's (" + u64s(gi) +
+                    ")");
+      }
+      // No false negatives: every visible host on a member must be
+      // matched by that member's filter (Bloom filters may over-match,
+      // never under-match). Once per bank, not per viewing switch.
+      for (const topo::HostInfo* h : hosts_on[member.value()]) {
+        if (net.host_hidden(h->id)) continue;
+        candidates.clear();
+        bank->query_into(BloomHash::of(h->mac), SwitchId::invalid(),
+                         candidates);
+        if (std::find(candidates.begin(), candidates.end(), member) ==
+            candidates.end()) {
+          out.add("gfib consistency",
+                  "G-FIB bank of group " + u64s(gi) + " misses host " +
+                      u64s(h->id.value()) + " on member switch " +
+                      u64s(member.value()) +
+                      " (Bloom false negative — stale filter)");
         }
       }
     }

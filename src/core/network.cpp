@@ -173,33 +173,10 @@ void Network::select_designated(const std::vector<SwitchId>& members) {
   }
 }
 
-void Network::rebuild_group_fib(const std::vector<SwitchId>& members,
-                                std::span<const SwitchId> changed_members) {
+void Network::rebuild_group_fib(GroupId group,
+                                const std::vector<SwitchId>& members) {
   obs::ScopedTimer timer(obs::TraceEventType::kGfibRebuild, simulator_.now(),
-                         members.size(), changed_members.size());
-  // Per-member MAC lists (excluded hosts are invisible to G-FIBs),
-  // collected lazily: the common delta outcome — nothing joined, nothing
-  // changed — needs no list at all, so e.g. the §III-D3 first-contact
-  // cascade resync costs a peer diff instead of O(group x hosts) vector
-  // fills per controller resolution.
-  std::vector<std::vector<MacAddress>> macs(members.size());
-  std::vector<bool> collected(members.size(), false);
-  const auto mac_list =
-      [&](std::size_t i) -> const std::vector<MacAddress>& {
-    if (!collected[i]) {
-      collected[i] = true;
-      for (HostId h : topology_.hosts_on_switch(members[i])) {
-        if (!host_hidden(h)) {
-          macs[i].push_back(topology_.host_info(h).mac);
-        }
-      }
-    }
-    return macs[i];
-  };
-  const auto changed = [&](SwitchId m) {
-    return std::find(changed_members.begin(), changed_members.end(), m) !=
-           changed_members.end();
-  };
+                         members.size());
   // Dissemination cost (§III-B3 peer links): each member sends its L-FIB to
   // the designated switch, which relays the bundle to every member.
   if (members.size() > 1) {
@@ -207,81 +184,31 @@ void Network::rebuild_group_fib(const std::vector<SwitchId>& members,
   }
   metrics_->state_link_messages += 1;  // designated -> controller
 
-  // Delta sync: a peer filter already installed under the same id is
-  // bit-identical to what a rebuild would produce (filters derive from
-  // the topology's host lists and the fixed exclusion set), UNLESS that
-  // peer appears in `changed_members` — live host migration is the one
-  // event that rewrites a member's host set mid-run. Each member
-  // therefore only drops peers that left its group and syncs peers that
-  // joined or changed —
-  // under the sliced layout this is an incremental column delete/insert,
-  // never a full re-transpose; under the linear layout it skips the
-  // re-hash of every unchanged peer's host list. A DGM move of one switch
-  // costs every member O(1) peer syncs instead of O(group).
-  //
-  // When the membership churn is large (initial build, IncUpdate merges
-  // and splits), per-peer deltas degenerate into many mid-bank column
-  // shifts, so past a half-the-group threshold the member rebuilds from
-  // scratch instead — in ascending id order, which the sliced bank turns
-  // into pure column appends (no shifting at all). Both paths produce
-  // identical bank contents.
-  std::vector<std::size_t> order(members.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return members[a] < members[b];
-  });
-  std::vector<SwitchId> target(members);
-  std::sort(target.begin(), target.end());
-  std::vector<SwitchId> existing;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    EdgeSwitch& sw = *switches_[members[i].value()];
-    existing.clear();
-    sw.gfib().peers_into(existing);
-    std::size_t kept = 0;
-    for (SwitchId p : existing) {
-      if (p != members[i] &&
-          std::binary_search(target.begin(), target.end(), p)) {
-        ++kept;
-      }
-    }
-    const std::size_t peers_wanted = members.size() - 1;
-    const std::size_t churn = (existing.size() - kept) +  // to remove
-                              (peers_wanted - kept);      // to add
-    // Bulk threshold is layout-aware: a sliced-bank mid-column
-    // insert/delete is an O(filter bits) table pass, while an
-    // ascending-order rebuild is pure appends (no shifting) costing
-    // about ONE such pass — so two or more structural changes already
-    // favour the rebuild. Linear filters are independent arrays, where
-    // per-peer deltas stay cheaper until churn approaches half the
-    // group.
-    const bool bulk = sw.gfib().layout() == GFibLayout::kSliced
-                          ? churn > 1
-                          : churn * 2 > peers_wanted;
-    if (bulk) {
-      sw.gfib().clear();
-      sw.gfib().reserve_peers(peers_wanted);
-      for (const std::size_t j : order) {
-        if (j == i) continue;
-        sw.gfib().sync_peer(members[j], mac_list(j));
-      }
-      continue;
-    }
-    for (SwitchId p : existing) {
-      if (p == members[i] ||
-          !std::binary_search(target.begin(), target.end(), p)) {
-        sw.gfib().remove_peer(p);
-      }
-    }
-    for (std::size_t j = 0; j < members.size(); ++j) {
-      if (i == j) continue;
-      // A present peer's filter is kept UNLESS its host set changed (a
-      // live host migration re-attached a host there or took one away) —
-      // keeping a stale filter would mis-forward toward the old location
-      // and silently break the no-false-negative guarantee at the new.
-      if (sw.gfib().has_peer(members[j]) && !changed(members[j])) continue;
-      sw.gfib().sync_peer(members[j], mac_list(j));
-    }
+  // The group's one bank, rebuilt from scratch: each member's visible MACs
+  // (excluded and dormant hosts are invisible to G-FIBs) hashed once and
+  // appended in ascending id order (Grouping::members() order), so no
+  // column is ever shifted. Every member views the bank minus its own
+  // filter.
+  if (group.value() >= gfib_banks_.size()) {
+    gfib_banks_.resize(group.value() + 1);
   }
+  std::unique_ptr<GFibBank>& bank = gfib_banks_[group.value()];
+  if (!bank) {
+    bank = std::make_unique<GFibBank>(
+        BloomParameters{config_.fib.bloom_bits, config_.fib.bloom_hashes},
+        config_.fib.layout);
+  }
+  bank->clear(members.size());
+  std::vector<MacAddress> macs;
+  for (const SwitchId m : members) {
+    macs.clear();
+    for (HostId h : topology_.hosts_on_switch(m)) {
+      if (!host_hidden(h)) macs.push_back(topology_.host_info(h).mac);
+    }
+    bank->append(m, macs);
+    switches_[m.value()]->gfib().attach(bank.get());
+  }
+  timer.args(members.size(), bank->storage_bytes());
 }
 
 void Network::apply_grouping(Grouping grouping, bool initial) {
@@ -309,13 +236,22 @@ void Network::apply_grouping(Grouping grouping, bool initial) {
   const auto members = g.members();
 
   std::vector<bool> rebuild(members.size(), initial);
+  // A renumbered group whose members did not change keeps (moves) its
+  // G-FIB bank; its members' views point at the bank object, not the
+  // slot, so they stay valid. Every other old bank is freed here, and the
+  // rebuilds below re-attach each of its former members.
+  std::vector<std::unique_ptr<GFibBank>> banks(members.size());
   if (!initial) {
     for (std::size_t gi = 0; gi < members.size(); ++gi) {
       const GroupId og = switches_[members[gi].front().value()]->group();
       rebuild[gi] = !og.valid() || og.value() >= old_members.size() ||
-                    old_members[og.value()] != members[gi];
+                    old_members[og.value()] != members[gi] ||
+                    og.value() >= gfib_banks_.size() ||
+                    !gfib_banks_[og.value()];
+      if (!rebuild[gi]) banks[gi] = std::move(gfib_banks_[og.value()]);
     }
   }
+  gfib_banks_ = std::move(banks);
 
   const SimTime now = simulator_.now();
   ++grouping_epoch_;
@@ -325,7 +261,7 @@ void Network::apply_grouping(Grouping grouping, bool initial) {
     }
     if (!rebuild[gi]) continue;
     select_designated(members[gi]);
-    rebuild_group_fib(members[gi]);
+    rebuild_group_fib(GroupId{static_cast<std::uint32_t>(gi)}, members[gi]);
     if (!initial) {
       for (SwitchId m : members[gi]) {
         EdgeSwitch& sw = *switches_[m.value()];
@@ -903,24 +839,8 @@ void Network::perform_migration(HostId host, SwitchId to) {
     sw->flow_table().remove_rules_for_destination(before.mac);
   }
 
-  if (config_.mode == ControlMode::kLazyCtrl &&
-      controller_.grouping().group_count > 0) {
-    // Both endpoints' host sets changed, so their filters must be force
-    // rebuilt at every group peer — the delta resync would otherwise keep
-    // the (now stale) installed filters.
-    const auto members = controller_.grouping().members();
-    const GroupId gf = controller_.grouping().group_of(from);
-    const GroupId gt = controller_.grouping().group_of(to);
-    if (gf == gt) {
-      const SwitchId changed[] = {from, to};
-      rebuild_group_fib(members[gf.value()], changed);
-    } else {
-      const SwitchId changed_from[] = {from};
-      rebuild_group_fib(members[gf.value()], changed_from);
-      const SwitchId changed_to[] = {to};
-      rebuild_group_fib(members[gt.value()], changed_to);
-    }
-  }
+  // Both endpoints' host sets changed: their groups rebuild.
+  resync_changed_members({from, to});
 }
 
 void Network::set_dormant_tenants(std::span<const TenantId> tenants) {
@@ -941,17 +861,15 @@ void Network::resync_changed_members(const std::vector<SwitchId>& changed) {
     return;
   }
   const auto members = controller_.grouping().members();
-  // Group the changed switches so each affected group resyncs once, with
-  // its own members marked dirty (their installed filters are
-  // present-but-stale, exactly the live host-migration situation).
-  std::map<std::uint32_t, std::vector<SwitchId>> by_group;
+  // Each affected group rebuilds once, in ascending group order.
+  std::vector<GroupId> groups;
   for (const SwitchId sw : changed) {
     const GroupId g = controller_.grouping().group_of(sw);
-    if (g.valid()) by_group[g.value()].push_back(sw);
+    if (g.valid()) groups.push_back(g);
   }
-  for (const auto& [g, dirty] : by_group) {
-    rebuild_group_fib(members[g], dirty);
-  }
+  std::sort(groups.begin(), groups.end());
+  groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
+  for (const GroupId g : groups) rebuild_group_fib(g, members[g.value()]);
 }
 
 bool Network::activate_tenant(TenantId tenant) {
@@ -1037,12 +955,14 @@ bool Network::reconcile_state() {
     }
   }
 
-  // Resync every group's G-FIB from the (now repaired) L-FIBs. The delta
-  // pass keeps filters that already exist, so this is idempotent — a
-  // reconcile over converged state repairs nothing and rebuilds nothing.
-  for (const std::vector<SwitchId>& members :
-       controller_.grouping().members()) {
-    if (!members.empty()) rebuild_group_fib(members);
+  // Resync every group's G-FIB from the (now repaired) L-FIBs. Banks
+  // derive from the topology's host lists, so over converged state the
+  // rebuild reproduces them bit for bit.
+  const auto groups = controller_.grouping().members();
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    if (!groups[gi].empty()) {
+      rebuild_group_fib(GroupId{static_cast<std::uint32_t>(gi)}, groups[gi]);
+    }
   }
 
   metrics_->reconcile_repairs += repairs;
@@ -1327,8 +1247,8 @@ SimDuration Network::cold_cache_first_packet(HostId src_id, HostId dst_id) {
   dsw.lfib().learn(dst.mac, dst_id, dst.tenant);
   controller_.clib_learn(dst.mac, dst_id, dst.tenant, dst_sw);
   if (controller_.grouping().group_count > 0) {
-    const auto members = controller_.grouping().members();
-    rebuild_group_fib(members[controller_.grouping().group_of(dst_sw).value()]);
+    const GroupId g = controller_.grouping().group_of(dst_sw);
+    rebuild_group_fib(g, controller_.grouping().members()[g.value()]);
   }
   return total;
 }

@@ -114,7 +114,8 @@ class Network : private dgm::GroupingHost, private sim::EventHandler {
       const noexcept {
     return excluded_hosts_;
   }
-  /// Total G-FIB storage across all switches, in bytes.
+  /// Total G-FIB storage across all switches, in bytes: the paper's
+  /// per-switch figure (GFib::storage_bytes) summed, not the shared banks.
   [[nodiscard]] std::size_t total_gfib_bytes() const;
 
   /// Stage decomposition of one controller round trip, filled by
@@ -370,14 +371,10 @@ class Network : private dgm::GroupingHost, private sim::EventHandler {
   /// computed against the pre-compact numbering (IncUpdate/DGM touched
   /// lists) can point at the wrong group after renumbering.
   void apply_grouping(Grouping grouping, bool initial);
-  /// Brings every member's G-FIB in sync with the group. Normally a
-  /// delta pass (peers whose filters exist are kept: host attachment is
-  /// derived from the topology, so an installed filter is already
-  /// correct); `changed_members` lists members whose own host set just
-  /// changed (live host migration) and whose filters must be rebuilt at
-  /// every peer even though they are present.
-  void rebuild_group_fib(const std::vector<SwitchId>& members,
-                         std::span<const SwitchId> changed_members = {});
+  /// Rebuilds group `group`'s one G-FIB bank from scratch over `members`
+  /// (ascending ids, as Grouping::members() lists them) and attaches
+  /// every member's view to it.
+  void rebuild_group_fib(GroupId group, const std::vector<SwitchId>& members);
   void select_designated(const std::vector<SwitchId>& members);
   void compute_excluded_hosts();
   void rebuild_failure_wheels();
@@ -385,8 +382,8 @@ class Network : private dgm::GroupingHost, private sim::EventHandler {
   /// force_regroup): plans on the monitor's intensity estimate, applies
   /// touched groups, accounts metrics. Caller gates evidence/cadence.
   bool run_legacy_incupdate();
-  /// Resyncs the G-FIBs of every group containing a `changed` switch,
-  /// marking those switches dirty (their host sets just changed).
+  /// Rebuilds the G-FIB banks of every group containing a `changed`
+  /// switch (their host sets just changed).
   void resync_changed_members(const std::vector<SwitchId>& changed);
   /// True when `h` must not appear in any G-FIB or bootstrap
   /// dissemination (appendix-B exclusion or a dormant tenant's host).
@@ -440,6 +437,11 @@ class Network : private dgm::GroupingHost, private sim::EventHandler {
 
   /// Bumped by every apply_grouping() (the `grouping.epoch` stat).
   std::uint64_t grouping_epoch_ = 0;
+
+  /// One G-FIB bank per group, indexed by group id (LazyCtrl mode only).
+  /// Switches view their group's bank through EdgeSwitch::gfib(), so a
+  /// bank is only ever moved or freed by apply_grouping().
+  std::vector<std::unique_ptr<GFibBank>> gfib_banks_;
 
   /// One failure-detection wheel per group (empty unless failover enabled).
   std::vector<std::unique_ptr<FailureWheel>> wheels_;

@@ -26,7 +26,7 @@ constexpr TypeInfo kTypeInfo[kNumTypes] = {
     {"dgm_round", "dgm", "plan_applied", "inter_fraction_pct"},
     {"dgm_plan_apply", "dgm", "moves", "flow_mods"},
     {"scenario_event", "scenario", "kind", "applied"},
-    {"gfib_rebuild", "gfib", "peers", "bytes"},
+    {"gfib_rebuild", "gfib", "members", "bytes"},
     {"replay_span", "runtime", "flows", "span"},
     {"bootstrap", "phase", "switches", "hosts"},
 };

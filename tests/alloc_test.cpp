@@ -32,26 +32,34 @@ std::uint64_t allocation_count() noexcept;
 namespace lazyctrl::core {
 namespace {
 
-/// Builds a switch with 24 local hosts and a 45-peer G-FIB under `layout`.
-EdgeSwitch make_switch(GFibLayout layout) {
-  Config cfg;
-  cfg.fib.layout = layout;
-  EdgeSwitch sw(SwitchId{0}, IpAddress::for_switch(0),
-                MacAddress{0x060000000000ULL}, cfg);
-  std::uint32_t host = 0;
-  for (int h = 0; h < 24; ++h) {
-    sw.lfib().learn(MacAddress::for_host(host), HostId{host}, TenantId{0});
-    ++host;
-  }
-  for (std::uint32_t peer = 1; peer <= 45; ++peer) {
-    std::vector<MacAddress> macs;
-    for (int h = 0; h < 24; ++h) {
-      macs.push_back(MacAddress::for_host(host++));
+/// A switch with 24 local hosts whose 46-member group bank (itself plus
+/// 45 peers, 24 hosts each) is built under `layout`. Constructed in
+/// place: the switch's G-FIB views `bank`.
+struct GroupedSwitch {
+  explicit GroupedSwitch(GFibLayout layout)
+      : bank(BloomParameters{Config{}.fib.bloom_bits,
+                             Config{}.fib.bloom_hashes},
+             layout),
+        sw(SwitchId{0}, IpAddress::for_switch(0),
+           MacAddress{0x060000000000ULL}, Config{}) {
+    bank.clear(46);
+    std::uint32_t host = 0;
+    for (std::uint32_t member = 0; member <= 45; ++member) {
+      std::vector<MacAddress> macs;
+      for (int h = 0; h < 24; ++h) {
+        if (member == 0) {
+          sw.lfib().learn(MacAddress::for_host(host), HostId{host},
+                          TenantId{0});
+        }
+        macs.push_back(MacAddress::for_host(host++));
+      }
+      bank.append(SwitchId{member}, macs);
     }
-    sw.gfib().sync_peer(SwitchId{peer}, macs);
+    sw.gfib().attach(&bank);
   }
-  return sw;
-}
+  GFibBank bank;
+  EdgeSwitch sw;
+};
 
 TEST(AllocCounterTest, CountsEveryAllocation) {
   // The zero-delta checks below are only meaningful while the counting
@@ -66,7 +74,8 @@ TEST(AllocCounterTest, CountsEveryAllocation) {
 class DatapathAllocTest : public ::testing::TestWithParam<GFibLayout> {};
 
 TEST_P(DatapathAllocTest, DecideBatchSteadyStateIsAllocationFree) {
-  EdgeSwitch sw = make_switch(GetParam());
+  GroupedSwitch g(GetParam());
+  EdgeSwitch& sw = g.sw;
   net::Packet p;
   p.tenant = TenantId{0};
   p.src_mac = MacAddress::for_host(0);
@@ -95,7 +104,8 @@ TEST_P(DatapathAllocTest, DecideBatchSteadyStateIsAllocationFree) {
 }
 
 TEST_P(DatapathAllocTest, SinglePacketDecideSteadyStateIsAllocationFree) {
-  EdgeSwitch sw = make_switch(GetParam());
+  GroupedSwitch g(GetParam());
+  EdgeSwitch& sw = g.sw;
   net::Packet p;
   p.tenant = TenantId{0};
   p.src_mac = MacAddress::for_host(0);

@@ -165,12 +165,22 @@ TEST(BloomBankTest, QueryReturnsSortedSwitchIds) {
   EXPECT_TRUE(std::is_sorted(hits.begin(), hits.end()));
 }
 
-TEST(BloomBankTest, RemoveFilterStopsMatching) {
+TEST(BloomBankTest, SkipDropsOnlyThatFilter) {
+  BloomBank bank;
+  const MacAddress mac = MacAddress::for_host(1);
+  bank.build_filter(SwitchId{3}, {mac});
+  bank.build_filter(SwitchId{5}, {mac});
+  std::vector<SwitchId> hits;
+  bank.query_into(BloomHash::of(mac), hits, SwitchId{3});
+  EXPECT_EQ(hits, std::vector<SwitchId>{SwitchId{5}});
+}
+
+TEST(BloomBankTest, ClearStopsMatching) {
   BloomBank bank;
   const MacAddress mac = MacAddress::for_host(1);
   bank.build_filter(SwitchId{3}, {mac});
   ASSERT_EQ(query_bank(bank, mac).size(), 1u);
-  bank.remove_filter(SwitchId{3});
+  bank.clear();
   EXPECT_TRUE(query_bank(bank, mac).empty());
   EXPECT_EQ(bank.filter_count(), 0u);
 }

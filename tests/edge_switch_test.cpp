@@ -2,6 +2,9 @@
 // Fig. 5 routine in isolation.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "core/edge_switch.h"
 
 namespace lazyctrl::core {
@@ -10,6 +13,16 @@ namespace {
 EdgeSwitch make_switch(const Config& cfg = Config{}) {
   return EdgeSwitch(SwitchId{0}, IpAddress::for_switch(0),
                     MacAddress{0x060000000000ULL}, cfg);
+}
+
+/// A group bank of `members` (ascending ids), each with its MAC list.
+GFibBank bank_of(
+    const std::vector<std::pair<std::uint32_t, std::vector<MacAddress>>>&
+        members) {
+  GFibBank bank(BloomParameters{16384, 8});
+  bank.clear(members.size());
+  for (const auto& [id, macs] : members) bank.append(SwitchId{id}, macs);
+  return bank;
 }
 
 net::Packet packet_to(std::uint32_t dst_host, std::uint32_t tenant = 0) {
@@ -51,9 +64,14 @@ TEST(EdgeSwitchDecideTest, Step2LocalDeliver) {
 }
 
 TEST(EdgeSwitchDecideTest, Step3GfibCandidates) {
+  // The switch's own filter (id 0) also matches host 5; the G-FIB view
+  // drops it, leaving only the peer.
+  const GFibBank bank = bank_of({{0, {MacAddress::for_host(5)}},
+                                 {3, {MacAddress::for_host(5)}},
+                                 {7, {MacAddress::for_host(6)}}});
   EdgeSwitch sw = make_switch();
-  sw.gfib().sync_peer(SwitchId{3}, {MacAddress::for_host(5)});
-  sw.gfib().sync_peer(SwitchId{7}, {MacAddress::for_host(6)});
+  sw.gfib().attach(&bank);
+  EXPECT_EQ(sw.gfib().peer_count(), 2u);
   const auto d = sw.decide(packet_to(5), 0, ControlMode::kLazyCtrl);
   EXPECT_EQ(d.kind, EdgeSwitch::DecisionKind::kIntraGroup);
   ASSERT_EQ(d.candidates.size(), 1u);
@@ -61,17 +79,21 @@ TEST(EdgeSwitchDecideTest, Step3GfibCandidates) {
 }
 
 TEST(EdgeSwitchDecideTest, Step4ControllerFallback) {
+  // Only the switch's own filter matches: no peer candidate remains.
+  const GFibBank bank = bank_of({{0, {MacAddress::for_host(5)}},
+                                 {3, {MacAddress::for_host(6)}}});
   EdgeSwitch sw = make_switch();
-  sw.gfib().sync_peer(SwitchId{3}, {MacAddress::for_host(6)});
+  sw.gfib().attach(&bank);
   const auto d = sw.decide(packet_to(5), 0, ControlMode::kLazyCtrl);
   EXPECT_EQ(d.kind, EdgeSwitch::DecisionKind::kToController);
   EXPECT_TRUE(d.candidates.empty());
 }
 
 TEST(EdgeSwitchDecideTest, OpenFlowModeIgnoresFibs) {
+  const GFibBank bank = bank_of({{3, {MacAddress::for_host(5)}}});
   EdgeSwitch sw = make_switch();
   sw.lfib().learn(MacAddress::for_host(5), HostId{5}, TenantId{0});
-  sw.gfib().sync_peer(SwitchId{3}, {MacAddress::for_host(5)});
+  sw.gfib().attach(&bank);
   // The baseline has no L-FIB/G-FIB logic: a table miss punts.
   const auto d = sw.decide(packet_to(5), 0, ControlMode::kOpenFlow);
   EXPECT_EQ(d.kind, EdgeSwitch::DecisionKind::kToController);
@@ -135,11 +157,12 @@ TEST(EdgeSwitchTest, DesignatedFlag) {
 TEST(EdgeSwitchBatchTest, MatchesPerPacketDecisions) {
   // A mixed batch covering every decision kind must reproduce decide()
   // exactly: same kinds, same candidate sets, same order.
+  const GFibBank bank = bank_of({{3, {MacAddress::for_host(4)}},
+                                 {7, {MacAddress::for_host(4)}}});
   EdgeSwitch sw = make_switch();
   sw.flow_table().install(encap_rule(1, SwitchId{9}));
   sw.lfib().learn(MacAddress::for_host(2), HostId{2}, TenantId{0});
-  sw.gfib().sync_peer(SwitchId{3}, {MacAddress::for_host(4)});
-  sw.gfib().sync_peer(SwitchId{7}, {MacAddress::for_host(4)});
+  sw.gfib().attach(&bank);
 
   std::vector<net::Packet> batch;
   for (const std::uint32_t dst : {1u, 2u, 4u, 4u, 99u, 1u, 2u}) {
@@ -152,8 +175,7 @@ TEST(EdgeSwitchBatchTest, MatchesPerPacketDecisions) {
   EdgeSwitch ref = make_switch();
   ref.flow_table().install(encap_rule(1, SwitchId{9}));
   ref.lfib().learn(MacAddress::for_host(2), HostId{2}, TenantId{0});
-  ref.gfib().sync_peer(SwitchId{3}, {MacAddress::for_host(4)});
-  ref.gfib().sync_peer(SwitchId{7}, {MacAddress::for_host(4)});
+  ref.gfib().attach(&bank);
 
   EdgeSwitch::DecisionBatch out;
   sw.decide_batch(batch, ControlMode::kLazyCtrl, out);
@@ -194,8 +216,9 @@ TEST(EdgeSwitchBatchTest, AppendsAcrossCallsUntilCleared) {
 }
 
 TEST(EdgeSwitchBatchTest, BurstToOneDestinationSharesCandidates) {
+  const GFibBank bank = bank_of({{3, {MacAddress::for_host(4)}}});
   EdgeSwitch sw = make_switch();
-  sw.gfib().sync_peer(SwitchId{3}, {MacAddress::for_host(4)});
+  sw.gfib().attach(&bank);
   std::vector<net::Packet> batch(16, packet_to(4));
   EdgeSwitch::DecisionBatch out;
   sw.decide_batch(batch, ControlMode::kLazyCtrl, out);

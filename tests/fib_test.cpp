@@ -81,8 +81,7 @@ TEST(LFibTest, AllZeroMacIsAValidKey) {
   EXPECT_FALSE(fib.contains(zero));
 }
 
-/// Test-side convenience over the allocation-free query_into (the
-/// vector-returning GFib::query was removed from the datapath API).
+/// Test-side convenience over the allocation-free query_into.
 std::vector<SwitchId> query_gfib(const GFib& gfib, MacAddress mac) {
   std::vector<SwitchId> hits;
   gfib.query_into(BloomHash::of(mac), hits);
@@ -94,72 +93,103 @@ std::vector<SwitchId> query_gfib(const GFib& gfib, MacAddress mac) {
 /// equivalence property lives in sliced_bank_test.cpp.
 class GFibLayoutTest : public ::testing::TestWithParam<GFibLayout> {
  protected:
-  [[nodiscard]] GFib make(BloomParameters params = BloomParameters{16384,
-                                                                   8}) const {
-    return GFib(params, GetParam());
+  /// A bank over members 1..n, member i holding host i*10.
+  [[nodiscard]] GFibBank make(std::uint32_t n,
+                              BloomParameters params = BloomParameters{
+                                  16384, 8}) const {
+    GFibBank bank(params, GetParam());
+    bank.clear(n);
+    for (std::uint32_t i = 1; i <= n; ++i) {
+      bank.append(SwitchId{i}, {MacAddress::for_host(i * 10)});
+    }
+    return bank;
   }
 };
 
 TEST_P(GFibLayoutTest, QueryFindsOwningPeerOnly) {
-  GFib gfib = make();
-  gfib.sync_peer(SwitchId{1}, {MacAddress::for_host(10)});
-  gfib.sync_peer(SwitchId{2}, {MacAddress::for_host(20)});
-  gfib.sync_peer(SwitchId{3}, {MacAddress::for_host(30)});
-
+  const GFibBank bank = make(3);
+  GFib gfib(SwitchId{1});
+  gfib.attach(&bank);
   const auto hits = query_gfib(gfib, MacAddress::for_host(20));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], SwitchId{2});
 }
 
+TEST_P(GFibLayoutTest, ViewDropsItsOwnFilter) {
+  const GFibBank bank = make(3);
+  GFib own(SwitchId{2});
+  own.attach(&bank);
+  EXPECT_TRUE(query_gfib(own, MacAddress::for_host(20)).empty());
+  EXPECT_EQ(own.peer_count(), 2u);
+  // Another member of the same bank still sees member 2's filter.
+  GFib peer(SwitchId{1});
+  peer.attach(&bank);
+  EXPECT_EQ(query_gfib(peer, MacAddress::for_host(20)),
+            std::vector<SwitchId>{SwitchId{2}});
+}
+
 TEST_P(GFibLayoutTest, UnknownMacQueriesEmpty) {
-  GFib gfib = make();
-  gfib.sync_peer(SwitchId{1}, {MacAddress::for_host(10)});
+  const GFibBank bank = make(2);
+  GFib gfib(SwitchId{1});
+  gfib.attach(&bank);
   EXPECT_TRUE(query_gfib(gfib, MacAddress::for_host(99)).empty());
 }
 
-TEST_P(GFibLayoutTest, ResyncReplacesPeerContents) {
-  GFib gfib = make();
-  gfib.sync_peer(SwitchId{1}, {MacAddress::for_host(10)});
+TEST_P(GFibLayoutTest, RebuildReplacesMemberContents) {
+  GFibBank bank = make(2);
+  GFib gfib(SwitchId{2});
+  gfib.attach(&bank);
   ASSERT_FALSE(query_gfib(gfib, MacAddress::for_host(10)).empty());
-  // VM 10 moved away; peer 1 now hosts VM 11 only.
-  gfib.sync_peer(SwitchId{1}, {MacAddress::for_host(11)});
+
+  bank.clear(2);
+  bank.append(SwitchId{1}, {MacAddress::for_host(11)});
+  bank.append(SwitchId{2}, {});
   EXPECT_TRUE(query_gfib(gfib, MacAddress::for_host(10)).empty());
   EXPECT_FALSE(query_gfib(gfib, MacAddress::for_host(11)).empty());
 }
 
-TEST_P(GFibLayoutTest, RemovePeerAndClear) {
-  GFib gfib = make(BloomParameters{});
-  gfib.sync_peer(SwitchId{1}, {MacAddress::for_host(1)});
-  gfib.sync_peer(SwitchId{2}, {MacAddress::for_host(2)});
-  EXPECT_EQ(gfib.peer_count(), 2u);
-  gfib.remove_peer(SwitchId{1});
+TEST_P(GFibLayoutTest, DetachedViewHasNoPeers) {
+  const GFibBank bank = make(2);
+  GFib gfib(SwitchId{1});
+  gfib.attach(&bank);
   EXPECT_EQ(gfib.peer_count(), 1u);
-  gfib.clear();
+  gfib.attach(nullptr);
   EXPECT_EQ(gfib.peer_count(), 0u);
+  EXPECT_EQ(gfib.storage_bytes(), 0u);
+  EXPECT_TRUE(query_gfib(gfib, MacAddress::for_host(20)).empty());
 }
 
 TEST_P(GFibLayoutTest, StorageMatchesLayoutModel) {
-  GFib gfib = make();
-  for (std::uint32_t i = 1; i <= 45; ++i) {
-    gfib.sync_peer(SwitchId{i}, {MacAddress::for_host(i)});
-  }
+  // The §V-D example: a 46-switch group, so 45 peer filters per switch.
+  const GFibBank bank = make(46);
+  GFib gfib(SwitchId{1});
+  gfib.attach(&bank);
+  ASSERT_EQ(gfib.peer_count(), 45u);
   if (GetParam() == GFibLayout::kLinear) {
-    // §V-D: a 46-switch group -> 45 filters of 2048 bytes = 92,160 bytes.
+    // 45 peers x 2048 B = 92,160 B.
     EXPECT_EQ(gfib.storage_bytes(), 92160u);
   } else {
-    // Transposed and byte-packed: 16384 bit rows x ceil(45/8) = 6 bytes —
-    // within ~7% of the linear layout's 92,160 B at the same group size.
+    // 16384 slice rows x ceil(45/8) = 6 packed peer bytes.
     EXPECT_EQ(gfib.storage_bytes(), 16384u * 6u);
   }
+  // A lone switch stores nothing.
+  const GFibBank lone = make(1);
+  GFib single(SwitchId{1});
+  single.attach(&lone);
+  EXPECT_EQ(single.storage_bytes(), 0u);
 }
 
 TEST_P(GFibLayoutTest, NoFalseNegativesUnderLoad) {
-  GFib gfib = make();
   std::vector<MacAddress> macs;
   for (std::uint32_t i = 0; i < 200; ++i) {
     macs.push_back(MacAddress::for_host(i));
   }
-  gfib.sync_peer(SwitchId{7}, macs);
+  GFibBank bank(BloomParameters{16384, 8}, GetParam());
+  bank.clear(2);
+  bank.append(SwitchId{3}, {});
+  bank.append(SwitchId{7}, macs);
+  GFib gfib(SwitchId{3});
+  gfib.attach(&bank);
   for (const MacAddress mac : macs) {
     EXPECT_FALSE(query_gfib(gfib, mac).empty());
   }

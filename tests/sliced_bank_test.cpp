@@ -1,15 +1,17 @@
-// Sliced-vs-linear Bloom bank equivalence.
+// Sliced-vs-linear Bloom bank equivalence, and the one-bank-per-group
+// G-FIB against the paper's per-switch G-FIB.
 //
 // The bit-sliced SlicedBloomBank must produce candidate sets that are
 // BIT-IDENTICAL to the linear BloomBank — including false positives —
-// for the same BloomParameters/BloomHash, across arbitrary build, peer
-// add/remove and migration-style rebuild sequences. These are randomized
-// property suites over seeds and filter geometries, plus an end-to-end
-// check that a full replay (with DGM migrations rebuilding G-FIBs along
-// the way) is metric-identical under either layout.
+// for the same BloomParameters/BloomHash, with any member's own column
+// dropped from the answer. These are randomized property suites over
+// seeds and filter geometries, plus an end-to-end replay under either
+// layout in which every switch's decide() is checked against a reference
+// per-switch bank after each kind of G-FIB rebuild.
 #include <gtest/gtest.h>
 
-#include <map>
+#include <memory>
+#include <set>
 #include <vector>
 
 #include "bloom/bloom_bank.h"
@@ -23,94 +25,82 @@
 namespace lazyctrl {
 namespace {
 
-std::vector<SwitchId> query_linear(const BloomBank& bank, MacAddress mac) {
+std::vector<SwitchId> query_linear(const BloomBank& bank, MacAddress mac,
+                                   SwitchId skip) {
   std::vector<SwitchId> hits;
-  bank.query_into(BloomHash::of(mac), hits);
+  bank.query_into(BloomHash::of(mac), hits, skip);
   return hits;
 }
 
 std::vector<SwitchId> query_sliced(const bloom::SlicedBloomBank& bank,
-                                   MacAddress mac) {
+                                   MacAddress mac, SwitchId skip) {
   std::vector<SwitchId> hits;
-  bank.query_into(BloomHash::of(mac), hits);
+  bank.query_into(BloomHash::of(mac), hits, skip);
   return hits;
-}
-
-/// Asserts both banks answer identically for `mac` (order included).
-void expect_same_candidates(const BloomBank& linear,
-                            const bloom::SlicedBloomBank& sliced,
-                            MacAddress mac) {
-  EXPECT_EQ(query_linear(linear, mac), query_sliced(sliced, mac))
-      << "candidate sets diverged for mac " << mac.bits();
 }
 
 class BankEquivalenceProperty
     : public ::testing::TestWithParam<
           std::tuple<std::uint64_t, std::size_t, std::size_t>> {};
 
-// Random op sequence: build (new and replacing), remove, clear — after
-// every op the two banks must agree on member keys, never-inserted keys
-// (the false-positive surface) and adversarially similar keys.
-TEST_P(BankEquivalenceProperty, RandomOpsKeepCandidateSetsIdentical) {
+// From-scratch builds of random groups, both layouts from the same host
+// lists in ascending id order (the only way Network builds a bank). For
+// the column dropped at slot 0, a middle slot, the last slot and both
+// sides of the 64-slot chunk boundary, the two layouts must agree on
+// member keys, never-inserted keys (the false-positive surface) and
+// random keys — and must equal a linear bank built without that member
+// at all, the paper's per-switch G-FIB.
+TEST_P(BankEquivalenceProperty, FromScratchBuildsAgreeWithOwnColumnDropped) {
   const auto [seed, bits, hashes] = GetParam();
   Rng rng(seed);
   const BloomParameters params{bits, hashes};
-  BloomBank linear(params);
-  bloom::SlicedBloomBank sliced(params);
-  // Reference model: peer -> its host list (to pick member queries).
-  std::map<SwitchId, std::vector<MacAddress>> model;
 
-  for (int op = 0; op < 120; ++op) {
-    const std::uint64_t dice = rng.next_below(100);
-    if (dice < 55 || model.empty()) {
-      // Build (or rebuild) a peer: ids collide on purpose so replace and
-      // mid-sequence column insertion both get exercised, and the peer
-      // population crosses the 64-peer word boundary of the sliced rows.
-      const SwitchId peer{static_cast<std::uint32_t>(rng.next_below(90))};
-      std::vector<MacAddress> hosts;
-      const std::size_t n = rng.next_below(40);
-      for (std::size_t i = 0; i < n; ++i) {
-        hosts.push_back(MacAddress::for_host(
+  for (const std::size_t members : {1u, 2u, 9u, 46u, 64u, 65u, 130u}) {
+    std::vector<SwitchId> ids;
+    std::vector<std::vector<MacAddress>> hosts;
+    std::uint32_t next_id = 0;
+    for (std::size_t i = 0; i < members; ++i) {
+      next_id += 1 + static_cast<std::uint32_t>(rng.next_below(3));
+      ids.push_back(SwitchId{next_id});
+      std::vector<MacAddress> macs;
+      const std::size_t n = rng.next_below(30);
+      for (std::size_t h = 0; h < n; ++h) {
+        macs.push_back(MacAddress::for_host(
             static_cast<std::uint32_t>(rng.next_below(5000))));
       }
-      linear.build_filter(peer, hosts);
-      sliced.build_filter(peer, hosts);
-      model[peer] = std::move(hosts);
-    } else if (dice < 85) {
-      // Remove a random present peer (and occasionally an absent one:
-      // both must treat that as a no-op).
-      SwitchId peer{static_cast<std::uint32_t>(rng.next_below(90))};
-      if (dice < 80) {
-        auto it = model.begin();
-        std::advance(it, static_cast<std::ptrdiff_t>(
-                             rng.next_below(model.size())));
-        peer = it->first;
-        model.erase(it);
-      } else {
-        model.erase(peer);
-      }
-      linear.remove_filter(peer);
-      sliced.remove_filter(peer);
-    } else {
-      linear.clear();
-      sliced.clear();
-      model.clear();
+      hosts.push_back(std::move(macs));
     }
+    BloomBank linear(params);
+    bloom::SlicedBloomBank sliced(params);
+    sliced.reserve_columns(members);
+    for (std::size_t i = 0; i < members; ++i) {
+      linear.build_filter(ids[i], hosts[i]);
+      sliced.append_filter(ids[i], hosts[i]);
+    }
+    ASSERT_EQ(sliced.peers(), ids);
 
-    ASSERT_EQ(linear.filter_count(), sliced.filter_count());
-    // Member keys (no false negatives on either side, same owners).
-    for (const auto& [peer, hosts] : model) {
-      if (!hosts.empty()) {
-        expect_same_candidates(linear, sliced,
-                               hosts[rng.next_below(hosts.size())]);
+    std::set<std::size_t> slots = {0, members / 2, members - 1};
+    if (members > 64) slots.insert({63, 64});
+    for (const std::size_t own : slots) {
+      // The paper's per-switch bank: every member but `own`.
+      BloomBank per_switch(params);
+      for (std::size_t i = 0; i < members; ++i) {
+        if (i != own) per_switch.build_filter(ids[i], hosts[i]);
       }
-    }
-    // Unknown keys: false positives must match exactly too.
-    for (int q = 0; q < 8; ++q) {
-      expect_same_candidates(
-          linear, sliced,
-          MacAddress::for_host(static_cast<std::uint32_t>(
-              1'000'000 + rng.next_below(100'000))));
+      const auto expect_same = [&](MacAddress mac) {
+        const auto want = query_linear(per_switch, mac, SwitchId::invalid());
+        EXPECT_EQ(query_linear(linear, mac, ids[own]), want)
+            << members << " members, own slot " << own;
+        EXPECT_EQ(query_sliced(sliced, mac, ids[own]), want)
+            << members << " members, own slot " << own;
+      };
+      for (std::size_t i = 0; i < members; ++i) {
+        for (const MacAddress mac : hosts[i]) expect_same(mac);
+      }
+      for (int q = 0; q < 64; ++q) {
+        expect_same(MacAddress::for_host(static_cast<std::uint32_t>(
+            1'000'000 + rng.next_below(100'000))));
+      }
     }
   }
 }
@@ -124,82 +114,89 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(5, 64, 1),
                       std::make_tuple(6, 4096, 12)));
 
-// Incremental column insert/remove must land on the same slice table as
-// building the final state from scratch (catches neighbour-column
-// corruption in the word-shift paths, which candidate comparison against
-// the linear bank could only see probabilistically).
-TEST(SlicedBankIncrementalTest, IncrementalEqualsFromScratch) {
-  Rng rng(99);
-  const BloomParameters params{8192, 6};
-  bloom::SlicedBloomBank incremental(params);
-  std::map<SwitchId, std::vector<MacAddress>> model;
-
-  for (int op = 0; op < 200; ++op) {
-    const SwitchId peer{static_cast<std::uint32_t>(rng.next_below(140))};
-    if (rng.next_below(3) != 0 || model.empty()) {
-      std::vector<MacAddress> hosts;
-      for (std::size_t i = 0; i < 1 + rng.next_below(20); ++i) {
-        hosts.push_back(MacAddress::for_host(
-            static_cast<std::uint32_t>(rng.next_below(4000))));
-      }
-      incremental.build_filter(peer, hosts);
-      model[peer] = std::move(hosts);
-    } else {
-      incremental.remove_filter(peer);
-      model.erase(peer);
-    }
-  }
-
-  bloom::SlicedBloomBank scratch(params);
-  for (const auto& [peer, hosts] : model) scratch.build_filter(peer, hosts);
-
-  ASSERT_EQ(incremental.filter_count(), scratch.filter_count());
-  ASSERT_EQ(incremental.peers(), scratch.peers());
-  for (int q = 0; q < 4000; ++q) {
-    const MacAddress mac =
-        MacAddress::for_host(static_cast<std::uint32_t>(rng.next_below(8000)));
-    EXPECT_EQ(query_sliced(incremental, mac), query_sliced(scratch, mac));
-  }
-}
-
-// The slice table must track the live group size in BOTH directions:
-// removals shed the high-water stride (a switch whose group halved must
-// not keep the big-group footprint) and an empty bank reports zero like
-// the linear layout does.
-TEST(SlicedBankStorageTest, ShrinksAfterRemovalsAndReportsZeroWhenEmpty) {
+// The row stride is sized once by reserve_columns, grows a byte per 8
+// columns appended past it, and an empty bank reports zero like the
+// linear layout does.
+TEST(SlicedBankStorageTest, StrideFollowsColumnsAndEmptyReportsZero) {
   const BloomParameters params{16384, 8};
   bloom::SlicedBloomBank bank(params);
-  BloomBank linear(params);
-  std::vector<MacAddress> hosts = {MacAddress::for_host(1),
-                                   MacAddress::for_host(2)};
-  for (std::uint32_t p = 0; p < 92; ++p) {
-    bank.build_filter(SwitchId{p}, hosts);
-    linear.build_filter(SwitchId{p}, hosts);
-  }
+  EXPECT_EQ(bank.storage_bytes(), 0u);
+  const std::vector<MacAddress> hosts = {MacAddress::for_host(1),
+                                         MacAddress::for_host(2)};
+  for (std::uint32_t p = 0; p < 92; ++p) bank.append_filter(SwitchId{p}, hosts);
   EXPECT_EQ(bank.storage_bytes(), 16384u * 12u);  // ceil(92/8) bytes/row
-
-  for (std::uint32_t p = 8; p < 92; ++p) {
-    bank.remove_filter(SwitchId{p});
-    linear.remove_filter(SwitchId{p});
-  }
-  ASSERT_EQ(bank.filter_count(), 8u);
-  // Stride shrank with the group (8 peers -> 1 byte rows, +1 hysteresis
-  // would still allow 2); nowhere near the 12-byte high water.
-  EXPECT_LE(bank.storage_bytes(), 16384u * 2u);
-  // And the surviving columns still answer exactly like the linear bank.
-  for (std::uint32_t q = 0; q < 64; ++q) {
-    expect_same_candidates(linear, bank, MacAddress::for_host(q));
-  }
 
   bank.clear();
   EXPECT_EQ(bank.storage_bytes(), 0u);
   EXPECT_EQ(bank.filter_count(), 0u);
+  bank.reserve_columns(20);
+  for (std::uint32_t p = 0; p < 9; ++p) bank.append_filter(SwitchId{p}, hosts);
+  EXPECT_EQ(bank.storage_bytes(), 16384u * 3u);  // reserved ceil(20/8)
+  EXPECT_FALSE(query_sliced(bank, hosts[0], SwitchId::invalid()).empty());
 }
 
-// End-to-end: a DGM-maintained replay (drift-triggered migrations rebuild
-// G-FIBs mid-run through the delta sync path) must be metric-identical
-// under both layouts — the "full replay metrics unchanged vs linear
-// layout" acceptance of the bit-sliced G-FIB.
+/// The differential oracle of the one-bank-per-group G-FIB: the paper's
+/// literal per-switch G-FIB — a BloomBank over the switch's co-members,
+/// built from their visible hosts — must give exactly the candidates the
+/// switch's decide() gives, for every host MAC and a sample of unknown
+/// ones. Probes run on a copy of each switch with an empty flow table, so
+/// decide() reaches the G-FIB and the live run is not perturbed.
+void expect_decide_matches_per_switch_gfib(
+    core::Network& net, const std::set<std::uint32_t>& dormant_tenants,
+    const char* stage) {
+  const core::Config& cfg = net.config();
+  const BloomParameters params{cfg.fib.bloom_bits, cfg.fib.bloom_hashes};
+  const topo::Topology& topo = net.topology();
+  const auto visible = [&](HostId h) {
+    return !net.excluded_hosts().contains(h.value()) &&
+           !dormant_tenants.contains(topo.host_info(h).tenant.value());
+  };
+  std::vector<MacAddress> probes;
+  for (const topo::HostInfo& h : topo.hosts()) probes.push_back(h.mac);
+  for (std::uint32_t q = 0; q < 64; ++q) {
+    probes.push_back(MacAddress::for_host(2'000'000 + q));
+  }
+
+  std::vector<SwitchId> want;
+  std::size_t intra = 0;
+  for (const std::vector<SwitchId>& group : net.grouping().members()) {
+    for (const SwitchId s : group) {
+      BloomBank reference(params);
+      for (const SwitchId peer : group) {
+        if (peer == s) continue;
+        std::vector<MacAddress> macs;
+        for (const HostId h : topo.hosts_on_switch(peer)) {
+          if (visible(h)) macs.push_back(topo.host_info(h).mac);
+        }
+        reference.build_filter(peer, macs);
+      }
+      core::EdgeSwitch probe = net.edge_switch(s);
+      probe.flow_table().clear();
+      ASSERT_EQ(probe.gfib().peer_count(), group.size() - 1) << stage;
+      for (const MacAddress mac : probes) {
+        net::Packet pkt;
+        pkt.dst_mac = mac;
+        const auto d = probe.decide(pkt, 0, core::ControlMode::kLazyCtrl);
+        if (d.kind == core::EdgeSwitch::DecisionKind::kLocalDeliver) continue;
+        want.clear();
+        reference.query_into(BloomHash::of(mac), want);
+        ASSERT_EQ(std::vector<SwitchId>(d.candidates.begin(),
+                                        d.candidates.end()),
+                  want)
+            << stage << ": switch " << s.value() << ", mac " << mac.bits();
+        intra += d.candidates.empty() ? 0 : 1;
+      }
+    }
+  }
+  EXPECT_GT(intra, 0u) << stage << ": no probe reached a peer";
+}
+
+// End-to-end: a DGM-maintained replay under either layout, through every
+// kind of G-FIB rebuild — bootstrap, a burst of live migrations, tenant
+// arrival and departure, and a forced regroup. After each, every
+// switch's decide() must equal its per-switch reference bank; and the
+// two layouts' runs must be metric-identical (the "full replay metrics
+// unchanged vs linear layout" acceptance of the bit-sliced G-FIB).
 TEST(GFibLayoutReplayEquivalence, DgmReplayMetricsIdentical) {
   Rng topo_rng(11);
   topo::MultiTenantOptions topt;
@@ -222,6 +219,8 @@ TEST(GFibLayoutReplayEquivalence, DgmReplayMetricsIdentical) {
   const auto history =
       workload::build_intensity_graph(trace, topo, 0, trace.horizon / 3);
 
+  const TenantId arriving{3};
+  const TenantId departing{5};
   auto run = [&](core::GFibLayout layout) {
     core::Config cfg;
     cfg.mode = core::ControlMode::kLazyCtrl;
@@ -232,8 +231,44 @@ TEST(GFibLayoutReplayEquivalence, DgmReplayMetricsIdentical) {
     cfg.dgm.cooldown = 1 * kMinute;
     cfg.fib.layout = layout;
     auto net = std::make_unique<core::Network>(topo, cfg);
-    net->bootstrap(history);
-    net->replay(trace);
+    core::Network& n = *net;
+    const TenantId dormant[] = {arriving};
+    n.set_dormant_tenants(dormant);
+    n.bootstrap(history);
+    // The dormant tenants at each check: `arriving` until it arrives,
+    // `departing` once it left.
+    auto dormant_now = std::make_shared<std::set<std::uint32_t>>(
+        std::set<std::uint32_t>{arriving.value()});
+    expect_decide_matches_per_switch_gfib(n, *dormant_now, "bootstrap");
+
+    // A migration burst: eight hosts at one instant, each to a switch
+    // seven ids away (across groups and within them).
+    for (std::uint32_t h = 0; h < 8; ++h) {
+      const HostId host{h * 9};
+      const SwitchId from = topo.host_info(host).attached_switch;
+      n.schedule_migration(
+          host, SwitchId{static_cast<std::uint32_t>((from.value() + 7) % 20)},
+          10 * kMinute);
+    }
+    n.simulator().schedule_at(11 * kMinute, [&n, dormant_now] {
+      expect_decide_matches_per_switch_gfib(n, *dormant_now, "migrations");
+    });
+    n.simulator().schedule_at(20 * kMinute, [&n, dormant_now, arriving] {
+      EXPECT_TRUE(n.activate_tenant(arriving));
+      dormant_now->erase(arriving.value());
+      expect_decide_matches_per_switch_gfib(n, *dormant_now, "arrival");
+    });
+    n.simulator().schedule_at(30 * kMinute, [&n, dormant_now, departing] {
+      EXPECT_TRUE(n.deactivate_tenant(departing));
+      dormant_now->insert(departing.value());
+      expect_decide_matches_per_switch_gfib(n, *dormant_now, "departure");
+    });
+    n.simulator().schedule_at(40 * kMinute, [&n, dormant_now] {
+      n.force_regroup();
+      expect_decide_matches_per_switch_gfib(n, *dormant_now, "regroup");
+    });
+    n.replay(trace);
+    expect_decide_matches_per_switch_gfib(n, *dormant_now, "end of run");
     return net;
   };
 
@@ -242,37 +277,15 @@ TEST(GFibLayoutReplayEquivalence, DgmReplayMetricsIdentical) {
 
   const core::RunMetrics& a = lin->metrics();
   const core::RunMetrics& b = sli->metrics();
+  EXPECT_TRUE(a.identical_to(b));
   EXPECT_EQ(a.flows_seen, b.flows_seen);
-  EXPECT_EQ(a.flows_flow_table_hit, b.flows_flow_table_hit);
-  EXPECT_EQ(a.flows_local_delivery, b.flows_local_delivery);
   EXPECT_EQ(a.flows_intra_group, b.flows_intra_group);
-  EXPECT_EQ(a.flows_inter_group, b.flows_inter_group);
   EXPECT_EQ(a.controller_packet_ins, b.controller_packet_ins);
   EXPECT_EQ(a.bf_false_positive_copies, b.bf_false_positive_copies);
-  EXPECT_EQ(a.packets_accounted, b.packets_accounted);
+  EXPECT_GT(a.dgm_plans_applied, 0u);
   EXPECT_EQ(a.dgm_plans_applied, b.dgm_plans_applied);
-  EXPECT_EQ(a.dgm_flow_mods, b.dgm_flow_mods);
   EXPECT_DOUBLE_EQ(a.first_packet_latency_ms.mean(),
                    b.first_packet_latency_ms.mean());
-
-  // And after all migrations, every switch's G-FIB answers identically.
-  Rng probe_rng(7);
-  std::vector<SwitchId> hits_a;
-  std::vector<SwitchId> hits_b;
-  for (std::uint32_t s = 0; s < topo.switch_count(); ++s) {
-    const auto& ga = lin->edge_switch(SwitchId{s}).gfib();
-    const auto& gb = sli->edge_switch(SwitchId{s}).gfib();
-    ASSERT_EQ(ga.peer_count(), gb.peer_count());
-    for (int q = 0; q < 64; ++q) {
-      const BloomHash h = BloomHash::of(MacAddress::for_host(
-          static_cast<std::uint32_t>(probe_rng.next_below(4000))));
-      hits_a.clear();
-      hits_b.clear();
-      ga.query_into(h, hits_a);
-      gb.query_into(h, hits_b);
-      ASSERT_EQ(hits_a, hits_b) << "switch " << s;
-    }
-  }
 }
 
 }  // namespace

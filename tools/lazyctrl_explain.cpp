@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -105,9 +106,7 @@ void print_breakdown(const Breakdown& b, const char* indent) {
       to_us(b.stage(obs::FlowStage::kInstall)), to_us(b.delivery));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
 
   std::string path;
@@ -358,4 +357,17 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Backstop: an error no check above diagnosed (e.g. an allocation a
+  // huge --set value asks for) exits 2 with its message, not an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: error: %s\n", argv[0], e.what());
+    return 2;
+  }
 }

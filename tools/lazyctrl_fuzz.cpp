@@ -32,6 +32,7 @@
 // (see docs/SCENARIOS.md, "Fuzzing & invariants").
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -52,9 +53,7 @@ int usage(const char* argv0) {
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::size_t seeds = 25;
   std::uint64_t seed_base = 1;
   scenario::FuzzOptions opt;
@@ -173,4 +172,17 @@ int main(int argc, char** argv) {
 
   std::printf("%zu/%zu seeds passed\n", seeds - failures, seeds);
   return failures == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Backstop: an error no check above diagnosed (e.g. an allocation a
+  // huge --set value asks for) exits 2 with its message, not an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: error: %s\n", argv[0], e.what());
+    return 2;
+  }
 }

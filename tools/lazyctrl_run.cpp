@@ -55,6 +55,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <string>
@@ -240,9 +241,7 @@ int resume_main(const std::string& snapshot_path) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc < 2) return usage(argv[0]);
 
   std::string path;
@@ -543,4 +542,17 @@ int main(int argc, char** argv) {
         return identical ? 0 : 1;
       });
   return status;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Backstop: an error no check above diagnosed (e.g. an allocation a
+  // huge --set value asks for) exits 2 with its message, not an abort.
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: error: %s\n", argv[0], e.what());
+    return 2;
+  }
 }
